@@ -1,5 +1,6 @@
 """Chi-square histogram distance and nearest-neighbor classification."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,22 @@ class ReferenceSet:
             raise ValueError("reference set must hold at least one histogram")
         if len(self.labels) != len(self.histograms):
             raise ValueError("label count does not match histogram count")
+        _check_labels(self.labels, "reference")
+        _check_finite(self.histograms, "reference")
 
     @property
     def dims(self):
         return self.histograms.shape[1]
+
+
+def _check_labels(labels, what):
+    if len(labels) and labels.min() < 0:
+        raise ValueError(f"{what} labels must be >= 0, got {labels.min()}")
+
+
+def _check_finite(histograms, what):
+    if not np.isfinite(histograms).all():
+        raise ValueError(f"{what} histograms contain NaN or infinite bins")
 
 
 def chi2(h, k):
@@ -51,27 +64,49 @@ def chi2_all(query, refs):
 
 def nn_classify(query, refs):
     """(predicted label, distance) of the nearest reference; ties go to the
-    lowest reference index."""
+    lowest reference index.
+
+    References are finite (ReferenceSet checks them), so a NaN distance
+    means the query has a non-finite bin: every distance is then NaN.
+    """
     dists = chi2_all(query, refs)
     idx = int(np.argmin(dists))
-    return int(refs.labels[idx]), float(dists[idx])
+    dist = float(dists[idx])
+    if math.isnan(dist):
+        raise ValueError("query histogram contains NaN or infinite bins")
+    return int(refs.labels[idx]), dist
 
 
-def evaluate(queries, query_labels, refs):
-    """Classify every query; returns (accuracy, confusion matrix).
+def nearest(queries, refs):
+    """(labels, distances) of the nearest reference to every query row."""
+    queries = np.asarray(queries, dtype=np.float64)
+    if len(queries) == 0:
+        raise ValueError("no queries to evaluate")
+    _check_finite(queries, "query")
+    found = [nn_classify(q, refs) for q in queries]
+    return (np.array([lab for lab, _ in found], dtype=np.int64),
+            np.array([dist for _, dist in found]))
+
+
+def score(predicted, query_labels, refs):
+    """(accuracy, confusion matrix) of predicted against true labels.
 
     Confusion rows are true classes, columns predicted classes, indexed by
     raw label value up to the largest label seen.
     """
-    queries = np.asarray(queries, dtype=np.float64)
     query_labels = np.asarray(query_labels, dtype=np.int64)
-    if len(queries) == 0:
-        raise ValueError("no queries to evaluate")
+    if len(query_labels) != len(predicted):
+        raise ValueError(f"{len(query_labels)} query labels for "
+                         f"{len(predicted)} predictions")
+    _check_labels(query_labels, "query")
     n_classes = int(max(query_labels.max(), refs.labels.max())) + 1
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    correct = 0
-    for q, true in zip(queries, query_labels):
-        pred, _ = nn_classify(q, refs)
-        confusion[true, pred] += 1
-        correct += int(pred == true)
-    return correct / len(queries), confusion
+    np.add.at(confusion, (query_labels, predicted), 1)
+    return int(np.sum(predicted == query_labels)) / len(predicted), confusion
+
+
+def evaluate(queries, query_labels, refs):
+    """Classify every query; returns (accuracy, confusion matrix) as in
+    score().  Labels must be >= 0 and histograms finite."""
+    predicted, _ = nearest(queries, refs)
+    return score(predicted, query_labels, refs)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import descriptors, harness
-from .classify import ReferenceSet, evaluate
+from .classify import ReferenceSet, nearest, score
 from .image import load_image, save_csv_matrix, save_pgm
 from .retina import (DEFAULT_EPSILON, DEFAULT_SIGMA1, DEFAULT_SIGMA2,
                      BfParams, bf_preprocess)
@@ -104,10 +104,9 @@ def cmd_classify(args):
     _, ref_labels, ref_feats = _read_feature_csv(args.refs)
     ids, q_labels, q_feats = _read_feature_csv(args.queries)
     refs = ReferenceSet(ref_feats, ref_labels)
-    acc, confusion = evaluate(q_feats, q_labels, refs)
-    from .classify import nn_classify
-    for sid, q in zip(ids, q_feats):
-        pred, dist = nn_classify(q, refs)
+    predicted, dists = nearest(q_feats, refs)
+    acc, confusion = score(predicted, q_labels, refs)
+    for sid, pred, dist in zip(ids, predicted, dists):
         print(f"{sid},{pred},{dist:.6f}")
     print(f"accuracy,{acc:.6f}")
     if args.confusion:
@@ -197,8 +196,6 @@ def build_parser():
         prog="bftex",
         description="Retina-inspired band-pass preprocessing and LBP-family "
                     "texture classification toolkit")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="max worker parallelism (default: cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("filter", help="band-pass filter an image into ON/OFF maps")

@@ -17,8 +17,23 @@ import numpy as np
 from .retina import BfMaps
 
 FAMILIES = ("lbp", "clbp", "clbc", "ltp", "wld")
-COMBINATION_SCHEMES = ("S", "M", "C", "S_M", "S/M", "S/C", "M/C",
-                       "S_M/C", "M_S/C", "S/M/C")
+# Packed sign/magnitude codes are uint32, and riu2_map tabulates 2**P codes.
+MAX_P = 24
+# Combination scheme -> histogram parts, concatenated in order.  A part is
+# a joint histogram over the listed code planes, the first plane varying
+# fastest: ("S", "M", "C") puts a pixel at s + B*m + B^2*c.
+COMBINATION_SCHEMES = {
+    "S": (("S",),),
+    "M": (("M",),),
+    "C": (("C",),),
+    "S_M": (("S",), ("M",)),
+    "S/M": (("S", "M"),),
+    "S/C": (("S", "C"),),
+    "M/C": (("M", "C"),),
+    "S_M/C": (("S",), ("M", "C")),
+    "M_S/C": (("M",), ("S", "C")),
+    "S/M/C": (("S", "M", "C"),),
+}
 DEFAULT_LTP_T = 5.0 / 255.0
 
 # Weber descriptor binning: T orientations, M excitation segments,
@@ -36,8 +51,8 @@ class NeighborhoodSpec:
     r: float = 1.0
 
     def __post_init__(self):
-        if self.p < 4:
-            raise ValueError(f"need at least 4 neighbors, got P={self.p}")
+        if not 4 <= self.p <= MAX_P:
+            raise ValueError(f"need 4 to {MAX_P} neighbors, got P={self.p}")
         if self.r <= 0:
             raise ValueError(f"radius must be positive, got R={self.r}")
 
@@ -76,6 +91,7 @@ class DescriptorConfig:
         if self.family in ("lbp", "clbp", "clbc") and \
                 self.scheme not in COMBINATION_SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        NeighborhoodSpec(self.p, self.r)  # rejects out-of-range P and R
 
     @property
     def spec(self):
@@ -91,17 +107,20 @@ class DescriptorConfig:
         return f"{self.family.upper()}_{self.scheme}"
 
 
+@lru_cache(maxsize=None)
 def neighbor_offsets(spec):
-    """(drow, dcol) offsets of the P neighbors; neighbor k sits at angle
-    2*pi*k/P with (drow, dcol) = (-R sin, R cos).  Near-integer offsets are
-    snapped so exact grid hits skip interpolation."""
+    """Read-only (P, 2) array of (drow, dcol) offsets of the P neighbors;
+    neighbor k sits at angle 2*pi*k/P with (drow, dcol) = (-R sin, R cos).
+    Near-integer offsets are snapped so exact grid hits skip interpolation."""
     k = np.arange(spec.p)
     theta = 2.0 * np.pi * k / spec.p
     dr = -spec.r * np.sin(theta)
     dc = spec.r * np.cos(theta)
     dr[np.abs(dr - np.rint(dr)) < 1e-9] = np.rint(dr[np.abs(dr - np.rint(dr)) < 1e-9])
     dc[np.abs(dc - np.rint(dc)) < 1e-9] = np.rint(dc[np.abs(dc - np.rint(dc)) < 1e-9])
-    return np.stack([dr, dc], axis=1)
+    offsets = np.stack([dr, dc], axis=1)
+    offsets.setflags(write=False)
+    return offsets
 
 
 def _check_size(img, spec):
@@ -129,11 +148,12 @@ def neighbor_stack(img, spec):
         fr, fc = dr - r0, dc - c0
         if fr == 0.0 and fc == 0.0:
             out[k] = _shifted(img, m, r0, c0)
-        else:
-            out[k] = ((1 - fr) * (1 - fc) * _shifted(img, m, r0, c0)
-                      + (1 - fr) * fc * _shifted(img, m, r0, c0 + 1)
-                      + fr * (1 - fc) * _shifted(img, m, r0 + 1, c0)
-                      + fr * fc * _shifted(img, m, r0 + 1, c0 + 1))
+        else:  # accumulated in place, in the order of the written-out sum
+            np.multiply((1 - fr) * (1 - fc), _shifted(img, m, r0, c0),
+                        out=out[k])
+            out[k] += (1 - fr) * fc * _shifted(img, m, r0, c0 + 1)
+            out[k] += fr * (1 - fc) * _shifted(img, m, r0 + 1, c0)
+            out[k] += fr * fc * _shifted(img, m, r0 + 1, c0 + 1)
     return out
 
 
@@ -168,7 +188,7 @@ def riu2_map(p):
     """Lookup table of length 2**P mapping each code to its rotation-invariant
     uniform label: popcount for codes with <= 2 circular transitions, P+1 for
     everything else (P+2 labels total)."""
-    if p > 24:
+    if p > MAX_P:
         raise ValueError(f"P={p} too large for a riu2 table")
     codes = np.arange(1 << p, dtype=np.uint32)
     rotated = ((codes << 1) | (codes >> (p - 1))) & np.uint32((1 << p) - 1)
@@ -180,49 +200,80 @@ def riu2_map(p):
 
 
 def riu2_from_bits(bits):
-    """riu2 labels straight from a (P, ...) boolean stack.
+    """riu2 labels straight from a (P, ...) boolean stack, bit k of the code
+    being bits[k].
 
-    Equivalent to packing the bits into a code and indexing riu2_map, but
+    Equal to riu2_map(P)[code], but the rule is applied to the packed codes
     without materializing a 2**P table (P=24 stays cheap).
     """
     p = bits.shape[0]
-    transitions = (bits != np.roll(bits, -1, axis=0)).sum(axis=0)
-    pop = bits.sum(axis=0)
-    return np.where(transitions <= 2, pop, p + 1).astype(np.int32)
+    if p > MAX_P:
+        raise ValueError(f"P={p} exceeds the maximum of {MAX_P} neighbors")
+    weights = np.left_shift(1, np.arange(p, dtype=np.uint32), dtype=np.uint32)
+    weights = weights.reshape((p,) + (1,) * (bits.ndim - 1))
+    codes = (bits * weights).sum(axis=0, dtype=np.uint32)
+    rotated = ((codes << 1) | (codes >> (p - 1))) & np.uint32((1 << p) - 1)
+    labels = np.bitwise_count(codes).astype(np.int32)
+    np.putmask(labels, np.bitwise_count(codes ^ rotated) > 2, p + 1)
+    return labels
 
 
-def clbp_codes(img, spec):
-    """Per-interior-pixel (sign label, magnitude label, center bit).
+def _count_bits(bits):
+    return bits.sum(axis=0).astype(np.int32)
+
+
+def _parts(scheme):
+    try:
+        return COMBINATION_SCHEMES[scheme]
+    except KeyError:
+        raise ValueError(f"unknown combination scheme {scheme!r}") from None
+
+
+def _plane_bins(plane, b):
+    return 2 if plane == "C" else b
+
+
+def _scheme_size(scheme, b):
+    return sum(math.prod(_plane_bins(plane, b) for plane in part)
+               for part in _parts(scheme))
+
+
+def _codes(img, spec, scheme, label):
+    """The (S, M, C) planes of the completed-LBP family; a plane the scheme
+    does not read is None and is never computed.
 
     Sign bits are [neighbor >= center] (ties encode 1); magnitude bits
     threshold |neighbor - center| against the image-wide mean magnitude;
     the center bit thresholds the center against the mean interior
-    intensity.  Sign and magnitude codes carry riu2 labels.
+    intensity.  `label` turns a (P, ...) bit stack into per-pixel labels.
     """
+    planes = {plane for part in _parts(scheme) for plane in part}
     stack = neighbor_stack(img, spec)
     center = interior(img, spec)
     diffs = stack - center
-    s_bits = diffs >= 0
-    mags = np.abs(diffs)
-    m_bits = mags >= mags.mean()
-    c_bit = (center >= center.mean()).astype(np.int32)
-    return riu2_from_bits(s_bits), riu2_from_bits(m_bits), c_bit
+    s = label(diffs >= 0) if "S" in planes else None
+    m = None
+    if "M" in planes:
+        mags = np.abs(diffs)
+        m = label(mags >= mags.mean())
+    c = (center >= center.mean()).astype(np.int32) if "C" in planes else None
+    return s, m, c
 
 
-def clbc_codes(img, spec):
+def clbp_codes(img, spec, scheme="S/M/C"):
+    """Per-interior-pixel (sign label, magnitude label, center bit) with
+    riu2 sign and magnitude labels; planes `scheme` does not read are None."""
+    return _codes(img, spec, scheme, riu2_from_bits)
+
+
+def clbc_codes(img, spec, scheme="S/M/C"):
     """Per-interior-pixel (sign count, magnitude count, center bit).
 
     Like the completed-LBP triple but encoding how many comparisons fire
-    (0..P, so P+1 bins) instead of the bit pattern.
+    (0..P, so P+1 bins) instead of the bit pattern; planes `scheme` does
+    not read are None.
     """
-    stack = neighbor_stack(img, spec)
-    center = interior(img, spec)
-    diffs = stack - center
-    s_count = (diffs >= 0).sum(axis=0).astype(np.int32)
-    mags = np.abs(diffs)
-    m_count = (mags >= mags.mean()).sum(axis=0).astype(np.int32)
-    c_bit = (center >= center.mean()).astype(np.int32)
-    return s_count, m_count, c_bit
+    return _codes(img, spec, scheme, _count_bits)
 
 
 def _hist(labels, nbins):
@@ -242,42 +293,34 @@ def build_histogram(s, m, c, scheme, nbins_per_code, tag=None):
     With B = nbins_per_code (P+2 for pattern labels, P+1 for counts):
     S or M -> B; S_M -> 2B; S/M -> B^2; S/C or M/C -> 2B; S/M/C -> 2B^2;
     S_M/C and M_S/C -> 3B.  Joint indices flatten row-major with the sign
-    label fastest: index = s + B*m (+ B^2*c).
+    label fastest: index = s + B*m (+ B^2*c).  Planes the scheme does not
+    read may be None.
     """
     b = nbins_per_code
-    tag = tag or scheme
-    if scheme == "S":
-        return _normalized(_hist(s, b), tag, (b,))
-    if scheme == "M":
-        return _normalized(_hist(m, b), tag, (b,))
-    if scheme == "C":
-        return _normalized(_hist(c, 2), tag, (2,))
-    if scheme == "S_M":
-        return _normalized(np.concatenate([_hist(s, b), _hist(m, b)]), tag, (2, b))
-    if scheme == "S/M":
-        return _normalized(_hist(s + b * m, b * b), tag, (b, b))
-    if scheme == "S/C":
-        return _normalized(_hist(s + b * c, 2 * b), tag, (b, 2))
-    if scheme == "M/C":
-        return _normalized(_hist(m + b * c, 2 * b), tag, (b, 2))
-    if scheme == "S/M/C":
-        return _normalized(_hist(s + b * m + b * b * c, 2 * b * b), tag, (b, b, 2))
-    if scheme == "S_M/C":
-        joint = _hist(m + b * c, 2 * b)
-        return _normalized(np.concatenate([_hist(s, b), joint]), tag, (3, b))
-    if scheme == "M_S/C":
-        joint = _hist(s + b * c, 2 * b)
-        return _normalized(np.concatenate([_hist(m, b), joint]), tag, (3, b))
-    raise ValueError(f"unknown combination scheme {scheme!r}")
+    parts = _parts(scheme)
+    codes = {"S": s, "M": m, "C": c}
+    hists = []
+    for part in parts:
+        index, size = codes[part[0]], _plane_bins(part[0], b)
+        for plane in part[1:]:
+            index = index + size * codes[plane]
+            size *= _plane_bins(plane, b)
+        hists.append(_hist(index, size))
+    bins = np.concatenate(hists)
+    if len(parts) == 1:
+        dims = tuple(_plane_bins(plane, b) for plane in parts[0])
+    else:
+        dims = (len(bins) // b, b)
+    return _normalized(bins, tag or scheme, dims)
 
 
 def clbp_histogram(img, spec, scheme="S"):
-    s, m, c = clbp_codes(img, spec)
+    s, m, c = clbp_codes(img, spec, scheme)
     return build_histogram(s, m, c, scheme, spec.p + 2, tag=f"CLBP_{scheme}")
 
 
 def clbc_histogram(img, spec, scheme="S"):
-    s, m, c = clbc_codes(img, spec)
+    s, m, c = clbc_codes(img, spec, scheme)
     return build_histogram(s, m, c, scheme, spec.p + 1, tag=f"CLBC_{scheme}")
 
 
@@ -351,9 +394,7 @@ def feature_size(config, on_maps=False):
     else:
         b = config.p + 1 if config.family == "clbc" else config.p + 2
         scheme = "S" if config.family == "lbp" else config.scheme
-        n = {"S": b, "M": b, "C": 2, "S_M": 2 * b, "S/M": b * b,
-             "S/C": 2 * b, "M/C": 2 * b, "S/M/C": 2 * b * b,
-             "S_M/C": 3 * b, "M_S/C": 3 * b}[scheme]
+        n = _scheme_size(scheme, b)
     return 2 * n if on_maps else n
 
 

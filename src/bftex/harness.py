@@ -272,14 +272,14 @@ def _extract_features(images, name, config):
     return np.asarray(feats), ms
 
 
-def _run_splits(feats_train_source, feats_test_source, labels, splits):
+def _run_splits(feats, labels, splits):
     """Accuracy per split; features indexed by sample id.  Returns
     (accuracies, mean per-query match ms)."""
     accs, match_time, n_queries = [], 0.0, 0
     for train, test in splits:
-        refs = ReferenceSet(feats_train_source[train], labels[train])
+        refs = ReferenceSet(feats[train], labels[train])
         t0 = time.perf_counter()
-        acc, _ = evaluate(feats_test_source[test], labels[test], refs)
+        acc, _ = evaluate(feats[test], labels[test], refs)
         match_time += time.perf_counter() - t0
         n_queries += len(test)
         accs.append(acc)
@@ -291,8 +291,9 @@ def run_experiment(config, manifest=None, images=None):
 
     Clean accuracy is always reported; when a noise spec is present, one
     row per SNR level follows.  Noise is applied to test images only
-    unless corrupt_train is set.  A failing preprocessor row is recorded
-    as a failure and the remaining rows still run.
+    unless corrupt_train is set, and only the corrupted images are
+    extracted again.  A failing preprocessor row is recorded as a failure
+    and the remaining rows still run.
     """
     if manifest is None:
         manifest = load_manifest(config.manifest_path, suite=config.suite)
@@ -302,18 +303,22 @@ def run_experiment(config, manifest=None, images=None):
     labels = np.asarray([lab for _, lab in manifest.samples], dtype=np.int64)
     splits = make_splits(manifest, config.split)
     desc = config.descriptor
+
+    def row(name, snr, accs, fsize, extract_ms=None, match_ms=None):
+        std = float(np.std(accs, ddof=1)) if len(accs) > 1 else None
+        return ReportRow(
+            suite=suite, preprocessor=name, family=desc.family,
+            scheme=desc.scheme, p=desc.p, r=desc.r, snr=snr,
+            mean_accuracy=float(np.mean(accs)), std_accuracy=std,
+            feature_size=fsize, extract_ms=extract_ms, match_ms=match_ms)
+
     rows, failures = [], []
     for name in config.preprocessors:
         try:
             feats, extract_ms = _extract_features(images, name, config)
             fsize = feats.shape[1]
-            accs, match_ms = _run_splits(feats, feats, labels, splits)
-            std = float(np.std(accs, ddof=1)) if len(accs) > 1 else None
-            rows.append(ReportRow(
-                suite=suite, preprocessor=name, family=desc.family,
-                scheme=desc.scheme, p=desc.p, r=desc.r, snr="clean",
-                mean_accuracy=float(np.mean(accs)), std_accuracy=std,
-                feature_size=fsize, extract_ms=extract_ms, match_ms=match_ms))
+            accs, match_ms = _run_splits(feats, labels, splits)
+            rows.append(row(name, "clean", accs, fsize, extract_ms, match_ms))
             if config.noise is None:
                 continue
             for li, snr in enumerate(config.noise.snr_levels):
@@ -321,21 +326,17 @@ def run_experiment(config, manifest=None, images=None):
                 for rep in range(config.noise.repeats):
                     train, test = splits[rep % len(splits)]
                     rng = _rng(config.noise.seed, li, rep)
-                    noisy = list(images)
-                    for i in test:
-                        noisy[i] = add_gaussian_noise(images[i], snr, rng)
-                    if config.corrupt_train:
-                        for i in train:
-                            noisy[i] = add_gaussian_noise(images[i], snr, rng)
-                    nfeats, _ = _extract_features(noisy, name, config)
-                    sub, _ = _run_splits(nfeats, nfeats, labels, [(train, test)])
+                    # noise is drawn for the test images first, in index
+                    # order; untouched images keep their clean features
+                    corrupted = test + (train if config.corrupt_train else [])
+                    noisy = [add_gaussian_noise(images[i], snr, rng)
+                             for i in corrupted]
+                    nfeats = feats.copy()
+                    nfeats[corrupted], _ = _extract_features(noisy, name,
+                                                             config)
+                    sub, _ = _run_splits(nfeats, labels, [(train, test)])
                     accs.extend(sub)
-                std = float(np.std(accs, ddof=1)) if len(accs) > 1 else None
-                rows.append(ReportRow(
-                    suite=suite, preprocessor=name, family=desc.family,
-                    scheme=desc.scheme, p=desc.p, r=desc.r, snr=f"{snr:g}",
-                    mean_accuracy=float(np.mean(accs)), std_accuracy=std,
-                    feature_size=fsize))
+                rows.append(row(name, f"{snr:g}", accs, fsize))
         except Exception as exc:  # keep remaining rows running
             failures.append((name, f"{type(exc).__name__}: {exc}"))
     return ExperimentReport(rows=rows, failures=failures,

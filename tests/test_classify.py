@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bftex.classify import ReferenceSet, chi2, evaluate, nn_classify
+from bftex.classify import (ReferenceSet, chi2, evaluate, nearest,
+                            nn_classify, score)
 
 
 def naive_chi2(h, k):
@@ -79,6 +80,25 @@ class TestNnClassify:
         with pytest.raises(ValueError):
             ReferenceSet(np.zeros((0, 4)), [])
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, rng, bad):
+        refs = ReferenceSet(rng.random((3, 4)), [0, 1, 0])
+        q = rng.random(4)
+        q[2] = bad
+        with pytest.raises(ValueError, match="query"):
+            nn_classify(q, refs)
+
+    def test_non_finite_reference_rejected(self, rng):
+        hists = rng.random((3, 4))
+        hists[1, 0] = np.nan
+        with pytest.raises(ValueError, match="reference"):
+            ReferenceSet(hists, [0, 1, 0])
+
+    def test_negative_reference_label_rejected(self, rng):
+        with pytest.raises(ValueError, match="-1"):
+            ReferenceSet(rng.random((2, 4)), [0, -1])
+
     def test_common_rescale_preserves_argmin(self, rng):
         hists = rng.random((10, 6))
         labels = rng.integers(0, 4, size=10)
@@ -128,3 +148,30 @@ class TestEvaluate:
             if labels[:15][int(np.argmin(dists))] == true:
                 correct += 1
         assert acc == pytest.approx(correct / 15)
+
+    def test_negative_query_label_rejected(self, rng):
+        refs = ReferenceSet(rng.random((2, 4)), [0, 1])
+        with pytest.raises(ValueError, match="-1"):
+            evaluate(rng.random((2, 4)), [0, -1], refs)
+
+    def test_non_finite_queries_rejected(self, rng):
+        refs = ReferenceSet(rng.random((2, 4)), [0, 1])
+        queries = rng.random((3, 4))
+        queries[2, 1] = np.nan
+        with pytest.raises(ValueError, match="query"):
+            evaluate(queries, [0, 1, 0], refs)
+
+    def test_label_count_must_match_queries(self, rng):
+        refs = ReferenceSet(rng.random((2, 4)), [0, 1])
+        with pytest.raises(ValueError, match="2 query labels for 3"):
+            evaluate(rng.random((3, 4)), [0, 1], refs)
+
+    def test_nearest_and_score_match_per_query_loop(self, rng):
+        hists = rng.random((20, 6))
+        labels = rng.integers(0, 3, size=20)
+        refs = ReferenceSet(hists[:10], labels[:10])
+        predicted, dists = nearest(hists[10:], refs)
+        for q, pred, dist in zip(hists[10:], predicted, dists):
+            assert (pred, dist) == nn_classify(q, refs)
+        assert score(predicted, labels[10:], refs)[0] == \
+            evaluate(hists[10:], labels[10:], refs)[0]

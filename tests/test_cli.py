@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bftex.classify import ReferenceSet, nn_classify
 from bftex.cli import main
 from bftex.image import load_csv_matrix, load_image, save_pgm
 from bftex.synthetic import generate_suite
@@ -64,6 +65,36 @@ class TestExtractClassify:
         code = run_cli(["classify", "--refs", str(feats),
                         "--queries", str(feats)])
         assert code == 0
+
+    def test_classify_output_lines(self, tmp_path, rng, capsys):
+        refs, queries = tmp_path / "refs.csv", tmp_path / "queries.csv"
+        ref_h, q_h = rng.random((6, 5)), rng.random((4, 5))
+        ref_y, q_y = [0, 1, 2, 0, 1, 2], [2, 0, 1, 1]
+        for path, hists, labels in ((refs, ref_h, ref_y),
+                                    (queries, q_h, q_y)):
+            path.write_text("".join(
+                f"s{i},{lab}," + ",".join(repr(float(v)) for v in h) + "\n"
+                for i, (h, lab) in enumerate(zip(hists, labels))))
+        conf = tmp_path / "conf.csv"
+        assert run_cli(["classify", "--refs", str(refs), "--queries",
+                        str(queries), "--confusion", str(conf)]) == 0
+        ref_set = ReferenceSet(ref_h, ref_y)
+        want, correct = [], 0
+        for i, (q, true) in enumerate(zip(q_h, q_y)):
+            pred, dist = nn_classify(q, ref_set)
+            want.append(f"s{i},{pred},{dist:.6f}")
+            correct += pred == true
+        want.append(f"accuracy,{correct / len(q_y):.6f}")
+        assert capsys.readouterr().out.splitlines() == want
+        assert np.loadtxt(conf, delimiter=",", dtype=int).sum() == len(q_y)
+
+    def test_negative_query_label_is_usage_error(self, tmp_path):
+        feats = tmp_path / "f.csv"
+        feats.write_text("a,0,0.5,0.5\nb,1,1.0,0.0\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("c,-1,0.5,0.5\n")
+        assert run_cli(["classify", "--refs", str(feats),
+                        "--queries", str(bad)]) == 2
 
 
 class TestExperimentCommand:

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bftex import descriptors as D
 from bftex.retina import bf_preprocess
+
+# seeded and small: every run draws the same examples
+FAST = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +169,23 @@ class TestRiu2:
                         dtype=bool)
         np.testing.assert_array_equal(D.riu2_from_bits(bits), table[codes])
 
+    @FAST
+    @given(p=st.sampled_from([4, 8, 16, 24]), data=st.data())
+    def test_bits_path_matches_table_and_rotation(self, p, data):
+        codes = np.array(data.draw(st.lists(
+            st.integers(0, (1 << p) - 1), min_size=1, max_size=40)))
+        bits = np.array([(codes >> k) & 1 for k in range(p)], dtype=bool)
+        labels = D.riu2_from_bits(bits)
+        np.testing.assert_array_equal(labels, D.riu2_map(p)[codes])
+        # rotating the neighborhood by 2*pi*k/P shifts the bit stack by k
+        k = data.draw(st.integers(1, p - 1))
+        np.testing.assert_array_equal(
+            D.riu2_from_bits(np.roll(bits, k, axis=0)), labels)
+
+    def test_bits_path_rejects_p_above_max(self):
+        with pytest.raises(ValueError, match="P=25"):
+            D.riu2_from_bits(np.zeros((25, 3), dtype=bool))
+
 
 class TestClbpCodes:
     def test_constant_image_degenerate_labels(self):
@@ -247,6 +269,78 @@ DIMENSION_TABLE = [
     ("lbp", "S", 8, 10),
     ("ltp", "S", 8, 20),
 ]
+
+
+def reference_histogram(s, m, c, scheme, b):
+    """The combination schemes written out one by one, as unnormalized
+    bin counts."""
+    def h(labels, n):
+        return np.bincount(labels.ravel(), minlength=n).astype(np.float64)
+    return {
+        "S": lambda: h(s, b),
+        "M": lambda: h(m, b),
+        "C": lambda: h(c, 2),
+        "S_M": lambda: np.concatenate([h(s, b), h(m, b)]),
+        "S/M": lambda: h(s + b * m, b * b),
+        "S/C": lambda: h(s + b * c, 2 * b),
+        "M/C": lambda: h(m + b * c, 2 * b),
+        "S/M/C": lambda: h(s + b * m + b * b * c, 2 * b * b),
+        "S_M/C": lambda: np.concatenate([h(s, b), h(m + b * c, 2 * b)]),
+        "M_S/C": lambda: np.concatenate([h(m, b), h(s + b * c, 2 * b)]),
+    }[scheme]()
+
+
+def reference_extract(source, config):
+    """Extraction from all-plane codes: pick the family's code triple,
+    combine it per the scheme and normalize; a map pair concatenates the
+    two normalized histograms and normalizes again."""
+    codes, b = {"lbp": (D.clbp_codes, config.p + 2),
+                "clbp": (D.clbp_codes, config.p + 2),
+                "clbc": (D.clbc_codes, config.p + 1)}[config.family]
+    scheme = "S" if config.family == "lbp" else config.scheme
+
+    def normalized(bins):
+        return bins / bins.sum()
+
+    def single(img):
+        return normalized(reference_histogram(*codes(img, config.spec),
+                                              scheme, b))
+
+    if hasattr(source, "plus"):
+        return normalized(np.concatenate([single(source.plus),
+                                          single(source.minus)]))
+    return single(source)
+
+
+class TestSchemeOracle:
+    @pytest.mark.parametrize("p", [4, 8, 16, 24])
+    @pytest.mark.parametrize("scheme", list(D.COMBINATION_SCHEMES))
+    @pytest.mark.parametrize("family", ["lbp", "clbp", "clbc"])
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(on_maps=st.booleans(), size=st.integers(9, 16),
+           seed=st.integers(0, 2**32 - 1))
+    def test_extract_matches_all_plane_reference(self, family, scheme, p,
+                                                 on_maps, size, seed):
+        config = D.DescriptorConfig(family=family, scheme=scheme, p=p,
+                                    r={4: 1.0, 8: 1.0, 16: 2.0, 24: 3.0}[p])
+        img = np.random.default_rng(seed).random((size, size))
+        source = bf_preprocess(img) if on_maps else img
+        hist = D.extract(source, config)
+        np.testing.assert_array_equal(hist.bins,
+                                      reference_extract(source, config))
+        assert D.feature_size(config, on_maps=on_maps) == len(hist.bins)
+
+    def test_unread_planes_are_not_computed(self, rng):
+        img = rng.random((10, 10))
+        spec = D.NeighborhoodSpec(p=8, r=1.0)
+        s_all, _, _ = D.clbp_codes(img, spec)
+        s, m, c = D.clbp_codes(img, spec, "S")
+        assert m is None and c is None
+        np.testing.assert_array_equal(s, s_all)
+        s, m, c = D.clbc_codes(img, spec, "M/C")
+        assert s is None and m is not None and c is not None
+        with pytest.raises(ValueError, match="scheme"):
+            D.clbp_codes(img, spec, "X")
 
 
 class TestHistograms:
@@ -379,3 +473,17 @@ class TestValidation:
             D.DescriptorConfig(family="sift")
         with pytest.raises(ValueError):
             D.DescriptorConfig(family="clbp", scheme="Q")
+
+    def test_p_above_24_rejected(self):
+        D.NeighborhoodSpec(p=24, r=3.0)
+        with pytest.raises(ValueError, match="P=25"):
+            D.NeighborhoodSpec(p=25, r=3.0)
+        with pytest.raises(ValueError, match="P=40"):
+            D.DescriptorConfig(family="lbp", p=40, r=3.0)
+
+    def test_offsets_cached_read_only(self):
+        spec = D.NeighborhoodSpec(p=8, r=1.0)
+        offsets = D.neighbor_offsets(spec)
+        assert D.neighbor_offsets(D.NeighborhoodSpec(p=8, r=1.0)) is offsets
+        with pytest.raises(ValueError):
+            offsets[0, 0] = 5.0

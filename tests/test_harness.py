@@ -2,15 +2,19 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bftex import harness
+from bftex import descriptors, harness
+from bftex.classify import ReferenceSet, evaluate
 from bftex.descriptors import DescriptorConfig, feature_size
 from bftex.harness import (ConfigError, ExperimentConfig, Manifest,
                            ManifestError, NoiseSpec, SplitPolicy,
-                           add_gaussian_noise, average_over_epsilon,
-                           build_experiment_config, load_manifest,
-                           make_splits, parse_config_file, run_experiment,
-                           sweep_bf_params)
+                           add_gaussian_noise, apply_preprocessor,
+                           average_over_epsilon, build_experiment_config,
+                           load_manifest, make_splits, parse_config_file,
+                           run_experiment, sweep_bf_params)
+from bftex.image import load_image
 from bftex.retina import BfParams
 from bftex.synthetic import generate_suite
 
@@ -163,6 +167,33 @@ def small_config(manifest, **kw):
     return ExperimentConfig(**defaults)
 
 
+def reference_noise_rows(config):
+    """Noise rows by re-extracting every image, noisy or not, each repeat;
+    the noise is drawn for the test images first, then the training ones."""
+    manifest = load_manifest(config.manifest_path)
+    images = [load_image(p) for p, _ in manifest.samples]
+    labels = np.array([lab for _, lab in manifest.samples])
+    splits = make_splits(manifest, config.split)
+    rows = {}
+    for name in config.preprocessors:
+        for li, snr in enumerate(config.noise.snr_levels):
+            accs = []
+            for rep in range(config.noise.repeats):
+                train, test = splits[rep % len(splits)]
+                rng = harness._rng(config.noise.seed, li, rep)
+                noisy = list(images)
+                for i in test + (train if config.corrupt_train else []):
+                    noisy[i] = add_gaussian_noise(images[i], snr, rng)
+                feats = np.array([descriptors.extract(
+                    apply_preprocessor(img, name, config),
+                    config.descriptor).bins for img in noisy])
+                refs = ReferenceSet(feats[train], labels[train])
+                accs.append(evaluate(feats[test], labels[test], refs)[0])
+            rows[(name, f"{snr:g}")] = (float(np.mean(accs)),
+                                        float(np.std(accs, ddof=1)))
+    return rows
+
+
 class TestRunExperiment:
     def test_rows_and_improvement(self, synthetic_suite):
         config = ExperimentConfig(
@@ -202,6 +233,34 @@ class TestRunExperiment:
         snrs = [r.snr for r in report.rows]
         assert snrs == ["clean", "30", "5"]
         assert report.rows[1].std_accuracy is not None
+
+    @pytest.mark.parametrize("corrupt_train", [False, True])
+    @settings(max_examples=2, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_noise_rows_match_full_reextraction(self, small_suite,
+                                                corrupt_train, seed):
+        config = small_config(
+            small_suite, noise=NoiseSpec(snr_levels=(10.0, 3.0), repeats=3,
+                                         seed=seed),
+            corrupt_train=corrupt_train)
+        got = {(r.preprocessor, r.snr): (r.mean_accuracy, r.std_accuracy)
+               for r in run_experiment(config).rows if r.snr != "clean"}
+        assert got == reference_noise_rows(config)
+
+    def test_noise_rows_extract_only_corrupted_images(self, small_suite,
+                                                      monkeypatch):
+        calls = []
+        real = descriptors.extract
+        monkeypatch.setattr(descriptors, "extract",
+                            lambda *a: calls.append(1) or real(*a))
+        for corrupt_train, per_repeat in ((False, 12), (True, 24)):
+            calls.clear()
+            run_experiment(small_config(
+                small_suite, preprocessors=("none",),
+                noise=NoiseSpec(snr_levels=(5.0,), repeats=3, seed=2),
+                corrupt_train=corrupt_train))
+            # 24 clean images, then 3 repeats of the corrupted ones
+            assert len(calls) == 24 + 3 * per_repeat
 
     def test_deterministic_report_bytes(self, small_suite):
         config = small_config(small_suite,
