@@ -1,6 +1,5 @@
 """Chi-square histogram distance and nearest-neighbor classification."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,41 +50,80 @@ def chi2(h, k):
                                   where=denom != 0)))
 
 
+# Float64 cells per scratch buffer (256 KB): chi2_matrix streams the
+# reference rows through buffers of this size, whatever the matrix shape,
+# so a block and its scratch stay in a core's L2 cache.
+_BLOCK_CELLS = 1 << 15
+
+
+def chi2_matrix(queries, refs):
+    """(m, n) chi-square distances from every query row to every reference.
+
+    Each distance is the chi2() of the pair, bit for bit: the terms are
+    formed in the same order, 0/0 and x/0 terms are zeroed, and each row
+    of terms is summed over a contiguous buffer.  Reference rows go
+    through in fixed blocks, so the scratch stays bounded and is allocated
+    once per call.  Queries must be finite (ReferenceSet checks the
+    references).
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    if len(queries) == 0:
+        raise ValueError("no queries to evaluate")
+    if queries.ndim != 2:
+        raise ValueError("queries must be a 2-D array of histograms")
+    if queries.shape[1] != refs.dims:
+        raise ValueError(f"query length {queries.shape[1]} != reference "
+                         f"dims {refs.dims}")
+    _check_finite(queries, "query")
+    hists = refs.histograms
+    n, d = hists.shape
+    block = min(n, max(1, _BLOCK_CELLS // max(d, 1)))
+    den, terms = np.empty((block, d)), np.empty((block, d))
+    zero = np.empty((block, d), dtype=bool)
+    dist = np.empty((len(queries), n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j0 in range(0, n, block):
+            k = min(block, n - j0)
+            h = hists[j0:j0 + k]
+            bden, bterms, bzero = den[:k], terms[:k], zero[:k]
+            for i, q in enumerate(queries):
+                np.add(h, q, out=bden)
+                np.subtract(h, q, out=bterms)
+                np.square(bterms, out=bterms)
+                np.divide(bterms, bden, out=bterms)
+                np.equal(bden, 0, out=bzero)
+                np.putmask(bterms, bzero, 0.0)
+                bterms.sum(axis=1, out=dist[i, j0:j0 + k])
+    return dist
+
+
 def chi2_all(query, refs):
     """Chi-square distances from one query to every reference row."""
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape[0] != refs.dims:
-        raise ValueError(f"query length {q.shape[0]} != reference dims {refs.dims}")
-    denom = refs.histograms + q
-    num = (refs.histograms - q) ** 2
-    return np.divide(num, denom, out=np.zeros_like(num),
-                     where=denom != 0).sum(axis=1)
+    return chi2_matrix(np.asarray(query, dtype=np.float64)[None, :], refs)[0]
 
 
 def nn_classify(query, refs):
     """(predicted label, distance) of the nearest reference; ties go to the
-    lowest reference index.
-
-    References are finite (ReferenceSet checks them), so a NaN distance
-    means the query has a non-finite bin: every distance is then NaN.
-    """
+    lowest reference index."""
     dists = chi2_all(query, refs)
     idx = int(np.argmin(dists))
-    dist = float(dists[idx])
-    if math.isnan(dist):
-        raise ValueError("query histogram contains NaN or infinite bins")
-    return int(refs.labels[idx]), dist
+    return int(refs.labels[idx]), float(dists[idx])
 
 
 def nearest(queries, refs):
-    """(labels, distances) of the nearest reference to every query row."""
+    """(labels, distances) of the nearest reference to every query row;
+    ties go to the lowest reference index.  Queries go through in blocks
+    of about _BLOCK_CELLS distances, so memory stays bounded whatever
+    their number."""
     queries = np.asarray(queries, dtype=np.float64)
-    if len(queries) == 0:
-        raise ValueError("no queries to evaluate")
-    _check_finite(queries, "query")
-    found = [nn_classify(q, refs) for q in queries]
-    return (np.array([lab for lab, _ in found], dtype=np.int64),
-            np.array([dist for _, dist in found]))
+    step = max(1, _BLOCK_CELLS // len(refs.labels))
+    idx, dists = [], []
+    for i0 in range(0, max(len(queries), 1), step):
+        dist = chi2_matrix(queries[i0:i0 + step], refs)
+        j = np.argmin(dist, axis=1)
+        idx.append(j)
+        dists.append(dist[np.arange(len(j)), j])
+    return refs.labels[np.concatenate(idx)], np.concatenate(dists)
 
 
 def score(predicted, query_labels, refs):
@@ -105,8 +143,17 @@ def score(predicted, query_labels, refs):
     return int(np.sum(predicted == query_labels)) / len(predicted), confusion
 
 
-def evaluate(queries, query_labels, refs):
+def evaluate(queries, query_labels, refs, dist=None):
     """Classify every query; returns (accuracy, confusion matrix) as in
-    score().  Labels must be >= 0 and histograms finite."""
-    predicted, _ = nearest(queries, refs)
+    score().  Labels must be >= 0 and histograms finite.  A caller that
+    already holds chi2_matrix(queries, refs) passes it as ``dist``, and
+    the distances are not computed again."""
+    if dist is None:
+        predicted, _ = nearest(queries, refs)
+    else:
+        if dist.shape != (len(queries), len(refs.labels)):
+            raise ValueError(f"distance matrix {dist.shape} does not match "
+                             f"{len(queries)} queries x {len(refs.labels)} "
+                             "references")
+        predicted = refs.labels[np.argmin(dist, axis=1)]
     return score(predicted, query_labels, refs)

@@ -14,10 +14,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .image import check_finite
 from .retina import BfMaps
 
 FAMILIES = ("lbp", "clbp", "clbc", "ltp", "wld")
-# Packed sign/magnitude codes are uint32, and riu2_map tabulates 2**P codes.
+# Largest neighbour count: the descriptor papers stop at P=24 (R=3), and
+# sign/magnitude codes are packed into uint32.
 MAX_P = 24
 # Combination scheme -> histogram parts, concatenated in order.  A part is
 # a joint histogram over the listed code planes, the first plane varying
@@ -162,49 +164,14 @@ def interior(img, spec):
     return np.asarray(img, dtype=np.float64)[m:-m, m:-m]
 
 
-def sample_neighbors(img, x, y, spec):
-    """The P neighbor samples of pixel (x, y); x is the column index."""
-    img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape
-    m = spec.margin
-    if not (m <= x < w - m and m <= y < h - m):
-        raise ValueError(f"pixel ({x},{y}) is not interior for R={spec.r}")
-    samples = np.empty(spec.p)
-    for k, (dr, dc) in enumerate(neighbor_offsets(spec)):
-        r0, c0 = math.floor(dr), math.floor(dc)
-        fr, fc = dr - r0, dc - c0
-        if fr == 0.0 and fc == 0.0:
-            samples[k] = img[y + r0, x + c0]
-        else:
-            samples[k] = ((1 - fr) * (1 - fc) * img[y + r0, x + c0]
-                          + (1 - fr) * fc * img[y + r0, x + c0 + 1]
-                          + fr * (1 - fc) * img[y + r0 + 1, x + c0]
-                          + fr * fc * img[y + r0 + 1, x + c0 + 1])
-    return samples
-
-
-@lru_cache(maxsize=None)
-def riu2_map(p):
-    """Lookup table of length 2**P mapping each code to its rotation-invariant
-    uniform label: popcount for codes with <= 2 circular transitions, P+1 for
-    everything else (P+2 labels total)."""
-    if p > MAX_P:
-        raise ValueError(f"P={p} too large for a riu2 table")
-    codes = np.arange(1 << p, dtype=np.uint32)
-    rotated = ((codes << 1) | (codes >> (p - 1))) & np.uint32((1 << p) - 1)
-    transitions = np.bitwise_count(codes ^ rotated)
-    pop = np.bitwise_count(codes)
-    table = np.where(transitions <= 2, pop, p + 1).astype(np.int32)
-    table.setflags(write=False)
-    return table
-
-
 def riu2_from_bits(bits):
     """riu2 labels straight from a (P, ...) boolean stack, bit k of the code
     being bits[k].
 
-    Equal to riu2_map(P)[code], but the rule is applied to the packed codes
-    without materializing a 2**P table (P=24 stays cheap).
+    A code with at most two circular 0/1 transitions is labelled by its
+    popcount, every other code by P+1 (P+2 labels in all).  The rule is
+    applied to the packed codes without a 2**P lookup table, so P=24 stays
+    cheap.
     """
     p = bits.shape[0]
     if p > MAX_P:
@@ -403,7 +370,7 @@ def extract(source, config):
 
     For a map pair, each map is encoded as an ordinary image (its own
     thresholds) and the two histograms are concatenated and jointly
-    renormalized.
+    renormalized.  A raw image with a NaN or infinite pixel is rejected.
     """
     if isinstance(source, BfMaps):
         hp = _single_image_histogram(source.plus, config)
@@ -414,4 +381,5 @@ def extract(source, config):
             bins = bins / total
         return Histogram(bins=bins, scheme=f"BF+{hp.scheme}",
                          dims=(2,) + hp.dims)
+    check_finite(source)
     return _single_image_histogram(source, config)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines, descriptors
-from .classify import ReferenceSet, evaluate
+from .classify import ReferenceSet, chi2_matrix, evaluate
 from .image import load_image
 from .retina import BfParams, bf_preprocess
 
@@ -274,16 +274,28 @@ def _extract_features(images, name, config):
 
 def _run_splits(feats, labels, splits):
     """Accuracy per split; features indexed by sample id.  Returns
-    (accuracies, mean per-query match ms)."""
-    accs, match_time, n_queries = [], 0.0, 0
+    (accuracies, mean per-query match ms).
+
+    Splits re-score the same (test, train) pairs, so every distance is
+    computed once, between the union of the test sets and the union of
+    the training sets; that matrix takes 8 bytes per (test, train) pair
+    of the unions, at most 8 N^2 bytes for N samples.  Each split is then
+    evaluated on its own rows and columns of it.  Training columns keep
+    their sorted order, so ties still go to the lowest training index.
+    """
+    rows = sorted(set().union(*(test for _, test in splits)))
+    cols = sorted(set().union(*(train for train, _ in splits)))
+    t0 = time.perf_counter()
+    dist = chi2_matrix(feats[rows], ReferenceSet(feats[cols], labels[cols]))
+    accs = []
     for train, test in splits:
-        refs = ReferenceSet(feats[train], labels[train])
-        t0 = time.perf_counter()
-        acc, _ = evaluate(feats[test], labels[test], refs)
-        match_time += time.perf_counter() - t0
-        n_queries += len(test)
+        sub = dist[np.ix_(np.searchsorted(rows, test),
+                          np.searchsorted(cols, train))]
+        acc, _ = evaluate(feats[test], labels[test],
+                          ReferenceSet(feats[train], labels[train]), sub)
         accs.append(acc)
-    return accs, match_time * 1000.0 / max(n_queries, 1)
+    match_ms = (time.perf_counter() - t0) * 1000.0
+    return accs, match_ms / sum(len(test) for _, test in splits)
 
 
 def run_experiment(config, manifest=None, images=None):
@@ -349,26 +361,29 @@ def sweep_bf_params(config, sigma1_values, sigma2_values, epsilon_values):
     Pairs violating sigma1 < sigma2 are skipped and noted as failures.
     The preprocessor column carries the triple so rows are identifiable,
     and averaging across epsilon stays a plain group-by on that column.
+    The manifest and its images are loaded once for the whole grid.
     """
-    rows, failures = [], []
-    any_valid = False
-    for s1 in sigma1_values:
-        for s2 in sigma2_values:
-            if not 0 < s1 < s2:
-                failures.append((f"bf[{s1:g},{s2:g},*]",
-                                 "skipped: requires 0 < sigma1 < sigma2"))
-                continue
-            for eps in epsilon_values:
-                any_valid = True
-                sub = run_experiment(replace(
-                    config, preprocessors=("bf",),
-                    bf_params=BfParams(sigma1=s1, sigma2=s2, epsilon=eps)))
-                for row in sub.rows:
-                    row.preprocessor = f"bf[{s1:g},{s2:g},{eps:g}]"
-                rows.extend(sub.rows)
-                failures.extend(sub.failures)
-    if not any_valid:
+    grid = [(s1, s2, 0 < s1 < s2)
+            for s1 in sigma1_values for s2 in sigma2_values]
+    if not epsilon_values or not any(valid for _, _, valid in grid):
         raise ConfigError("no valid (sigma1, sigma2) pair in the grid")
+    manifest = load_manifest(config.manifest_path, suite=config.suite)
+    images = [load_image(p) for p, _ in manifest.samples]
+    rows, failures = [], []
+    for s1, s2, valid in grid:
+        if not valid:
+            failures.append((f"bf[{s1:g},{s2:g},*]",
+                             "skipped: requires 0 < sigma1 < sigma2"))
+            continue
+        for eps in epsilon_values:
+            sub = run_experiment(replace(
+                config, preprocessors=("bf",),
+                bf_params=BfParams(sigma1=s1, sigma2=s2, epsilon=eps)),
+                manifest=manifest, images=images)
+            for row in sub.rows:
+                row.preprocessor = f"bf[{s1:g},{s2:g},{eps:g}]"
+            rows.extend(sub.rows)
+            failures.extend(sub.failures)
     return ExperimentReport(rows=rows, failures=failures,
                             include_timing=config.include_timing)
 

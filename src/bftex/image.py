@@ -8,6 +8,7 @@ PNG decoding is available when Pillow is installed.
 import csv
 import math
 import os
+from functools import lru_cache
 
 import numpy as np
 from scipy.ndimage import convolve1d
@@ -130,14 +131,24 @@ def load_csv_matrix(path):
     return np.asarray(rows, dtype=np.float64)
 
 
+def check_finite(img):
+    """Raise ValueError when the image has a NaN or infinite pixel."""
+    if not np.isfinite(img).all():
+        raise ValueError("image has NaN or infinite pixels")
+
+
+@lru_cache(maxsize=None)
 def gaussian_kernel_1d(sigma):
-    """Sampled 1-D Gaussian, radius ceil(3*sigma), normalized to unit sum."""
+    """Read-only sampled 1-D Gaussian, radius ceil(3*sigma), normalized to
+    unit sum; built once per sigma."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     radius = math.ceil(3.0 * sigma)
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     taps = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    return taps / taps.sum()
+    kernel = taps / taps.sum()
+    kernel.setflags(write=False)
+    return kernel
 
 
 def gaussian_derivative_kernel_1d(sigma, order):

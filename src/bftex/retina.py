@@ -6,12 +6,11 @@ then split into non-negative ON and OFF maps with a small stability
 threshold epsilon that zeroes out near-uniform regions.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .image import convolve_separable, gaussian_kernel_1d
+from .image import check_finite, convolve_separable, gaussian_kernel_1d
 
 DEFAULT_SIGMA1 = 1.0
 DEFAULT_SIGMA2 = 4.0
@@ -48,20 +47,15 @@ class BfMaps:
     raw: np.ndarray
 
 
-def dog_kernel(x, y, sigma1, sigma2):
-    """Continuous difference-of-Gaussians kernel value at (x, y)."""
-    r2 = x * x + y * y
-    return (math.exp(-r2 / (2.0 * sigma1 ** 2)) / (2.0 * math.pi * sigma1 ** 2)
-            - math.exp(-r2 / (2.0 * sigma2 ** 2)) / (2.0 * math.pi * sigma2 ** 2))
-
-
 def dog_filter(img, params):
     """Band-pass the image: blur at sigma1 minus blur at sigma2.
 
     Both blurs use unit-normalized kernels, so the response to a constant
-    image is exactly zero (DC cancels by construction).
+    image is exactly zero (DC cancels by construction).  An image with a
+    NaN or infinite pixel is rejected.
     """
     img = np.asarray(img, dtype=np.float64)
+    check_finite(img)
     k1 = gaussian_kernel_1d(params.sigma1)
     k2 = gaussian_kernel_1d(params.sigma2)
     return convolve_separable(img, k1) - convolve_separable(img, k2)

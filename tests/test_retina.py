@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bftex.image import gaussian_kernel_1d
-from bftex.retina import (BfParams, bf_preprocess, dog_filter, dog_kernel,
-                          split_maps)
+from bftex.retina import BfParams, bf_preprocess, dog_filter, split_maps
+from oracles import dog_kernel
 from test_image import dense_convolve_2d
 
 
@@ -50,6 +50,13 @@ class TestDogFilter:
         k2 = gaussian_kernel_1d(p.sigma2)
         want = dense_convolve_2d(img, k1) - dense_convolve_2d(img, k2)
         np.testing.assert_allclose(out, want, atol=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pixel_rejected(self, rng, bad):
+        img = rng.random((16, 16))
+        img[4, 9] = bad
+        with pytest.raises(ValueError, match="NaN or infinite pixels"):
+            dog_filter(img, BfParams())
 
     def test_linearity(self, rng):
         p = BfParams()
