@@ -8,21 +8,25 @@ import numpy as np
 
 from .image import (convolve_separable, gaussian_derivative_kernel_1d,
                     gaussian_kernel_1d)
-from .retina import dog_filter
+from .retina import BfParams, dog_filter
 
 BASELINE_NAMES = ("none", "bf", "gamma", "dog", "gderiv0", "gderiv1", "gderiv2")
 
 
 def gamma_correct(img, gamma):
-    """Pointwise power-law mapping out = img ** gamma (img in [0, 1])."""
+    """Pointwise sign-preserving power law out = sign(img) * |img| ** gamma.
+
+    On [0, 1] this is exactly img ** gamma; below 0 (unclipped noise) it is
+    the odd extension, so negative pixels stay finite instead of NaN.
+    """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    return np.power(np.asarray(img, dtype=np.float64), gamma)
+    img = np.asarray(img, dtype=np.float64)
+    return np.copysign(np.power(np.abs(img), gamma), img)
 
 
 def dog_only(img, sigma1, sigma2):
     """Plain signed difference-of-Gaussians response, no ON/OFF split."""
-    from .retina import BfParams
     return dog_filter(img, BfParams(sigma1=sigma1, sigma2=sigma2))
 
 

@@ -45,21 +45,9 @@ def _add_descriptor_flags(p):
                    help="ternary threshold (default %(default)s)")
 
 
-def _bf_params(args):
-    try:
-        return BfParams(sigma1=args.sigma1, sigma2=args.sigma2,
-                        epsilon=args.epsilon)
-    except ValueError as exc:
-        raise SystemExit(_usage_error(str(exc)))
-
-
-def _usage_error(message):
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def cmd_filter(args):
-    maps = bf_preprocess(load_image(args.input), _bf_params(args))
+    params = BfParams(args.sigma1, args.sigma2, args.epsilon)
+    maps = bf_preprocess(load_image(args.input), params)
     for img, path in ((maps.plus, args.output_plus),
                       (maps.minus, args.output_minus)):
         save_pgm(img, path)
@@ -71,13 +59,15 @@ def cmd_extract(args):
     config = descriptors.DescriptorConfig(family=args.family,
                                           scheme=args.scheme, p=args.p,
                                           r=args.r, ltp_t=args.ltp_t)
+    params = (BfParams(args.sigma1, args.sigma2, args.epsilon)
+              if args.preproc == "bf" else None)
     rows = []
     for path in args.input:
         img = load_image(path)
-        source = bf_preprocess(img, _bf_params(args)) if args.preproc == "bf" else img
+        source = bf_preprocess(img, params) if params else img
         hist = descriptors.extract(source, config)
         rows.append([os.path.basename(path), str(args.label)]
-                    + [repr(float(v)) for v in hist.bins])
+                    + [repr(float(v)) for v in hist])
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out, lineterminator="\n")
@@ -138,7 +128,7 @@ def cmd_bench(args):
             t0 = time.perf_counter()
             hists = [descriptors.extract(s, config) for s in sources]
             ms = (time.perf_counter() - t0) * 1000 / n_timed
-            print(f"{label + f'_P={p}':<22}{ms:>10.3f}{len(hists[0].bins):>11}")
+            print(f"{label + f'_P={p}':<22}{ms:>10.3f}{len(hists[0]):>11}")
     return EXIT_OK
 
 
@@ -171,6 +161,7 @@ def cmd_sweep(args):
     config = harness.build_experiment_config(
         values, base_dir=os.path.dirname(os.path.abspath(args.config)))
     grid = harness.parse_config_file(args.grid)
+    harness.check_keys(grid, harness.GRID_KEYS)
     def axis(key, default):
         if key not in grid:
             return default
@@ -251,12 +242,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-    except SystemExit:
-        raise
-    except harness.ConfigError as exc:
-        code = _usage_error(str(exc))
-    except (OSError, ValueError) as exc:
-        code = _usage_error(str(exc))
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
     sys.exit(code)
 
 

@@ -64,20 +64,6 @@ class NeighborhoodSpec:
 
 
 @dataclass(frozen=True)
-class Histogram:
-    """Normalized frequency vector tagged with the producing scheme."""
-
-    bins: np.ndarray
-    scheme: str
-    dims: tuple
-
-    def __post_init__(self):
-        if int(np.prod(self.dims)) != len(self.bins):
-            raise ValueError(f"dims {self.dims} inconsistent with "
-                             f"{len(self.bins)} bins")
-
-
-@dataclass(frozen=True)
 class DescriptorConfig:
     """Which descriptor to extract: family, combination scheme, geometry."""
 
@@ -99,14 +85,16 @@ class DescriptorConfig:
     def spec(self):
         return NeighborhoodSpec(self.p, self.r)
 
-    def tag(self):
-        if self.family == "wld":
-            return "WLD"
-        if self.family == "ltp":
-            return "LTP"
-        if self.family == "lbp":
-            return "LBP"
-        return f"{self.family.upper()}_{self.scheme}"
+    @property
+    def code_scheme(self):
+        """Combination scheme of the codes: plain LBP is CLBP's S plane."""
+        return "S" if self.family == "lbp" else self.scheme
+
+    @property
+    def bins_per_code(self):
+        """Labels per sign or magnitude code: P+1 counts for CLBC, P+2
+        riu2 patterns otherwise."""
+        return self.p + 1 if self.family == "clbc" else self.p + 2
 
 
 @lru_cache(maxsize=None)
@@ -247,14 +235,12 @@ def _hist(labels, nbins):
     return np.bincount(labels.ravel(), minlength=nbins).astype(np.float64)
 
 
-def _normalized(bins, scheme, dims):
+def _normalized(bins):
     total = bins.sum()
-    if total > 0:
-        bins = bins / total
-    return Histogram(bins=bins, scheme=scheme, dims=tuple(dims))
+    return bins / total if total > 0 else bins
 
 
-def build_histogram(s, m, c, scheme, nbins_per_code, tag=None):
+def build_histogram(s, m, c, scheme, nbins_per_code):
     """Combine per-pixel codes into a normalized histogram.
 
     With B = nbins_per_code (P+2 for pattern labels, P+1 for counts):
@@ -264,31 +250,15 @@ def build_histogram(s, m, c, scheme, nbins_per_code, tag=None):
     read may be None.
     """
     b = nbins_per_code
-    parts = _parts(scheme)
     codes = {"S": s, "M": m, "C": c}
     hists = []
-    for part in parts:
+    for part in _parts(scheme):
         index, size = codes[part[0]], _plane_bins(part[0], b)
         for plane in part[1:]:
             index = index + size * codes[plane]
             size *= _plane_bins(plane, b)
         hists.append(_hist(index, size))
-    bins = np.concatenate(hists)
-    if len(parts) == 1:
-        dims = tuple(_plane_bins(plane, b) for plane in parts[0])
-    else:
-        dims = (len(bins) // b, b)
-    return _normalized(bins, tag or scheme, dims)
-
-
-def clbp_histogram(img, spec, scheme="S"):
-    s, m, c = clbp_codes(img, spec, scheme)
-    return build_histogram(s, m, c, scheme, spec.p + 2, tag=f"CLBP_{scheme}")
-
-
-def clbc_histogram(img, spec, scheme="S"):
-    s, m, c = clbc_codes(img, spec, scheme)
-    return build_histogram(s, m, c, scheme, spec.p + 1, tag=f"CLBC_{scheme}")
+    return _normalized(np.concatenate(hists))
 
 
 def ltp_histogram(img, spec, t=DEFAULT_LTP_T):
@@ -301,17 +271,16 @@ def ltp_histogram(img, spec, t=DEFAULT_LTP_T):
     upper = riu2_from_bits(stack >= center + t)
     lower = riu2_from_bits(stack <= center - t)
     b = spec.p + 2
-    bins = np.concatenate([_hist(upper, b), _hist(lower, b)])
-    return _normalized(bins, "LTP", (2, b))
+    return _normalized(np.concatenate([_hist(upper, b), _hist(lower, b)]))
 
 
-def wld_histogram(img, t_bins=WLD_T, m_bins=WLD_M, s_bins=WLD_S):
+def wld_histogram(img):
     """Weber descriptor over the 3x3 neighborhood.
 
     Differential excitation arctan(sum(neighbor - center) / center) is
-    segmented into m_bins equal intervals of [-pi/2, pi/2] with s_bins
+    segmented into WLD_M equal intervals of [-pi/2, pi/2] with WLD_S
     sub-bins each; gradient orientation from the 3x3 cross is quantized to
-    t_bins directions; the (segment, orientation, sub-bin) histogram is
+    WLD_T directions; the (segment, orientation, sub-bin) histogram is
     flattened segment-major.  The center is floored at 1/255 before the
     division.
     """
@@ -324,32 +293,28 @@ def wld_histogram(img, t_bins=WLD_T, m_bins=WLD_M, s_bins=WLD_S):
                for dr in (-1, 0, 1) for dc in (-1, 0, 1)
                if (dr, dc) != (0, 0))
     xi = np.arctan((ring - 8.0 * center) / np.maximum(center, 1.0 / 255.0))
-    seg_width = np.pi / m_bins
-    pos = (xi + np.pi / 2.0) / seg_width
-    seg = np.minimum(pos.astype(np.int32), m_bins - 1)
-    sub = np.minimum(((pos - seg) * s_bins).astype(np.int32), s_bins - 1)
+    pos = (xi + np.pi / 2.0) / (np.pi / WLD_M)
+    seg = np.minimum(pos.astype(np.int32), WLD_M - 1)
+    sub = np.minimum(((pos - seg) * WLD_S).astype(np.int32), WLD_S - 1)
     # orientation from the 3x3 cross: vertical diff over horizontal diff
     dv = _shifted(img, m, 1, 0) - _shifted(img, m, -1, 0)
     dh = _shifted(img, m, 0, -1) - _shifted(img, m, 0, 1)
     theta = np.mod(np.arctan2(dv, dh), 2.0 * np.pi)
-    t = np.mod(np.floor(theta / (2.0 * np.pi / t_bins) + 0.5).astype(np.int32),
-               t_bins)
-    idx = (seg * t_bins + t) * s_bins + sub
-    bins = _hist(idx, t_bins * m_bins * s_bins)
-    return _normalized(bins, "WLD", (m_bins, t_bins, s_bins))
+    t = np.mod(np.floor(theta / (2.0 * np.pi / WLD_T) + 0.5).astype(np.int32),
+               WLD_T)
+    idx = (seg * WLD_T + t) * WLD_S + sub
+    return _normalized(_hist(idx, WLD_T * WLD_M * WLD_S))
 
 
-def _single_image_histogram(img, config):
-    if config.family in ("lbp", "clbp"):
-        scheme = "S" if config.family == "lbp" else config.scheme
-        return clbp_histogram(img, config.spec, scheme)
-    if config.family == "clbc":
-        return clbc_histogram(img, config.spec, config.scheme)
+def _histogram(img, config):
+    """Normalized histogram of one image under the configured descriptor."""
     if config.family == "ltp":
         return ltp_histogram(img, config.spec, config.ltp_t)
     if config.family == "wld":
         return wld_histogram(img)
-    raise ValueError(f"unknown family {config.family!r}")
+    codes = clbc_codes if config.family == "clbc" else clbp_codes
+    return build_histogram(*codes(img, config.spec, config.code_scheme),
+                           config.code_scheme, config.bins_per_code)
 
 
 def feature_size(config, on_maps=False):
@@ -357,29 +322,22 @@ def feature_size(config, on_maps=False):
     if config.family == "wld":
         n = WLD_T * WLD_M * WLD_S
     elif config.family == "ltp":
-        n = 2 * (config.p + 2)
+        n = 2 * config.bins_per_code
     else:
-        b = config.p + 1 if config.family == "clbc" else config.p + 2
-        scheme = "S" if config.family == "lbp" else config.scheme
-        n = _scheme_size(scheme, b)
+        n = _scheme_size(config.code_scheme, config.bins_per_code)
     return 2 * n if on_maps else n
 
 
 def extract(source, config):
-    """Extract the configured descriptor from an image or an ON/OFF map pair.
+    """Extract the configured descriptor from an image or an ON/OFF map pair
+    as a normalized 1-D float64 histogram.
 
     For a map pair, each map is encoded as an ordinary image (its own
     thresholds) and the two histograms are concatenated and jointly
     renormalized.  A raw image with a NaN or infinite pixel is rejected.
     """
     if isinstance(source, BfMaps):
-        hp = _single_image_histogram(source.plus, config)
-        hm = _single_image_histogram(source.minus, config)
-        bins = np.concatenate([hp.bins, hm.bins])
-        total = bins.sum()
-        if total > 0:
-            bins = bins / total
-        return Histogram(bins=bins, scheme=f"BF+{hp.scheme}",
-                         dims=(2,) + hp.dims)
+        return _normalized(np.concatenate([_histogram(source.plus, config),
+                                           _histogram(source.minus, config)]))
     check_finite(source)
-    return _single_image_histogram(source, config)
+    return _histogram(source, config)

@@ -267,7 +267,7 @@ def _extract_features(images, name, config):
     feats, t0 = [], time.perf_counter()
     for img in images:
         feats.append(descriptors.extract(
-            apply_preprocessor(img, name, config), config.descriptor).bins)
+            apply_preprocessor(img, name, config), config.descriptor))
     ms = (time.perf_counter() - t0) * 1000.0 / max(len(images), 1)
     return np.asarray(feats), ms
 
@@ -405,6 +405,12 @@ def average_over_epsilon(report):
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
+EXPERIMENT_KEYS = (
+    "manifest", "suite", "preprocessor", "family", "scheme", "p", "r",
+    "ltp_t", "sigma1", "sigma2", "epsilon", "gamma", "deriv_sigma", "mode",
+    "n_train", "repeats", "seed", "snr_levels", "noise_repeats",
+    "noise_seed", "corrupt_train", "timing")
+GRID_KEYS = ("sigma1", "sigma2", "epsilon")
 
 
 def parse_config_file(path):
@@ -420,6 +426,15 @@ def parse_config_file(path):
             key, _, val = line.partition("=")
             values[key.strip()] = val.strip()
     return values
+
+
+def check_keys(values, known):
+    """Reject keys outside `known`, so a misspelt key cannot silently fall
+    back to its default."""
+    unknown = sorted(set(values) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} "
+                          f"(known: {', '.join(known)})")
 
 
 def _get(values, key, conv, default):
@@ -447,6 +462,7 @@ def _float_list(text):
 
 def build_experiment_config(values, base_dir="."):
     """ExperimentConfig from a flat key-value dict (see parse_config_file)."""
+    check_keys(values, EXPERIMENT_KEYS)
     if "manifest" not in values:
         raise ConfigError("missing required key 'manifest'")
     manifest = values["manifest"]

@@ -54,7 +54,7 @@ def test_criterion_1_dimension_reproduction():
             mismatches.append((family, scheme, p, on_maps, size))
         if p == 8:  # extraction cross-check kept cheap
             hist = D.extract(maps if on_maps else img, config)
-            if len(hist.bins) != size:
+            if len(hist) != size:
                 mismatches.append(("extracted", family, scheme, p, size))
     elapsed = time.perf_counter() - start
     report(1, not mismatches and elapsed < 1.0,
@@ -127,7 +127,7 @@ def test_criterion_4_bruteforce_oracle_equivalence():
         upper = np.bincount([u for u, _ in ref.values()], minlength=10)
         lower = np.bincount([l for _, l in ref.values()], minlength=10)
         want = np.concatenate([upper, lower]).astype(float)
-        ok = ok and np.allclose(hist.bins, want / want.sum(), atol=1e-12)
+        ok = ok and np.allclose(hist, want / want.sum(), atol=1e-12)
     # classifier oracles
     hists = rng.random((20, 12))
     labels = rng.integers(0, 4, size=20)

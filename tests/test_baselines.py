@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bftex.baselines import dog_only, gamma_correct, gaussian_derivative
 from bftex.retina import BfParams, dog_filter
@@ -25,6 +27,19 @@ class TestGammaCorrect:
     def test_invalid_gamma(self):
         with pytest.raises(ValueError):
             gamma_correct(np.zeros((2, 2)), 0.0)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(unit=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+           signed=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=16),
+           gamma=st.floats(0.1, 5.0))
+    def test_power_on_unit_interval_and_odd(self, unit, signed, gamma):
+        unit = np.array(unit)
+        assert np.array_equal(gamma_correct(unit, gamma),
+                              np.power(unit, gamma))
+        signed = np.array(signed)
+        out = gamma_correct(signed, gamma)
+        assert np.isfinite(out).all()
+        np.testing.assert_array_equal(gamma_correct(-signed, gamma), -out)
 
 
 class TestDogOnly:

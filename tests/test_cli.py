@@ -32,12 +32,16 @@ class TestFilterCommand:
         mm = load_csv_matrix(tmp_path / "m.csv")
         assert np.all(pm * mm == 0)
 
-    def test_sigma_order_is_usage_error(self, tmp_path, sample_image):
-        code = run_cli(["filter", "--input", str(sample_image),
-                        "--output-plus", str(tmp_path / "p.pgm"),
-                        "--output-minus", str(tmp_path / "m.pgm"),
-                        "--sigma1", "4", "--sigma2", "2"])
-        assert code == 2
+    def test_sigma_order_is_usage_error(self, tmp_path, sample_image,
+                                        capsys):
+        bad = ["--sigma1", "4", "--sigma2", "2"]
+        for args in (["filter", "--input", str(sample_image),
+                      "--output-plus", str(tmp_path / "p.pgm"),
+                      "--output-minus", str(tmp_path / "m.pgm")],
+                     ["extract", "--input", str(sample_image)]):
+            assert run_cli(args + bad) == 2
+            assert "error: require 0 < sigma1 < sigma2" in \
+                capsys.readouterr().err
 
     def test_epsilon_zero_is_valid(self, tmp_path, sample_image):
         code = run_cli(["filter", "--input", str(sample_image),
@@ -147,6 +151,12 @@ class TestExperimentCommand:
         cfg.write_text("preprocessor = bf\n")
         assert run_cli(["experiment", "--config", str(cfg)]) == 2
 
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("manifest = m.txt\nn_trian = 5\n")
+        assert run_cli(["experiment", "--config", str(cfg)]) == 2
+        assert "unknown key 'n_trian'" in capsys.readouterr().err
+
     def test_missing_manifest_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("manifest = nowhere.txt\n")
@@ -167,6 +177,16 @@ class TestSweepCommand:
                         "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 grid points
+
+    def test_unknown_grid_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("manifest = m.txt\n")
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("sigma1 = 1.0\nsigma_2 = 3.0\n")
+        assert run_cli(["sweep", "--config", str(cfg), "--grid", str(grid),
+                        "--out", str(tmp_path / "sweep.csv")]) == 2
+        assert "unknown key 'sigma_2'" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestGenSynthetic:

@@ -327,9 +327,9 @@ class TestSchemeOracle:
         img = np.random.default_rng(seed).random((size, size))
         source = bf_preprocess(img) if on_maps else img
         hist = D.extract(source, config)
-        np.testing.assert_array_equal(hist.bins,
+        np.testing.assert_array_equal(hist,
                                       reference_extract(source, config))
-        assert D.feature_size(config, on_maps=on_maps) == len(hist.bins)
+        assert D.feature_size(config, on_maps=on_maps) == len(hist)
 
     def test_unread_planes_are_not_computed(self, rng):
         img = rng.random((10, 10))
@@ -352,9 +352,9 @@ class TestHistograms:
         assert D.feature_size(config) == expected
         img = rng.random((14, 14))
         hist = D.extract(img, config)
-        assert len(hist.bins) == expected
-        assert hist.bins.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(hist.bins >= 0)
+        assert len(hist) == expected
+        assert hist.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(hist >= 0)
 
     def test_joint_flattening_order(self):
         # a single (s=1, m=2, c=1) pixel must land at s + B*m + B^2*c
@@ -363,7 +363,7 @@ class TestHistograms:
         m = np.array([[2]])
         c = np.array([[1]])
         hist = D.build_histogram(s, m, c, "S/M/C", b)
-        assert hist.bins[1 + b * 2 + b * b * 1] == 1.0
+        assert hist[1 + b * 2 + b * b * 1] == 1.0
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
@@ -376,20 +376,20 @@ class TestLtp:
         spec = D.NeighborhoodSpec(p=8, r=1.0)
         hist = D.ltp_histogram(img, spec, t=0.0)
         s, _, _ = D.clbp_codes(img, spec)
-        upper = hist.bins[:10] * s.size
+        upper = hist[:10] * s.size
         np.testing.assert_allclose(
             upper * 2, np.bincount(s.ravel(), minlength=10) * 1.0)
 
     def test_constant_image_concentrates_at_zero(self):
         hist = D.ltp_histogram(np.full((8, 8), 0.5),
                                D.NeighborhoodSpec(p=8, r=1.0), t=0.02)
-        assert hist.bins[0] == pytest.approx(0.5)
-        assert hist.bins[10] == pytest.approx(0.5)
+        assert hist[0] == pytest.approx(0.5)
+        assert hist[10] == pytest.approx(0.5)
 
     def test_bin_count(self, rng):
         hist = D.ltp_histogram(rng.random((8, 8)),
                                D.NeighborhoodSpec(p=8, r=1.0))
-        assert len(hist.bins) == 20
+        assert len(hist) == 20
 
     def test_matches_naive_oracle(self, rng):
         img = rng.random((10, 10))
@@ -400,28 +400,28 @@ class TestLtp:
         upper = np.bincount([u for u, _ in ref.values()], minlength=10)
         lower = np.bincount([l for _, l in ref.values()], minlength=10)
         want = np.concatenate([upper, lower]).astype(float)
-        np.testing.assert_allclose(hist.bins, want / want.sum(), atol=1e-12)
+        np.testing.assert_allclose(hist, want / want.sum(), atol=1e-12)
 
 
 class TestWld:
     def test_constant_image_central_segment(self):
         hist = D.wld_histogram(np.full((10, 10), 0.5))
-        assert len(hist.bins) == 960
-        seg = hist.bins.reshape(6, 8, 20)
+        assert len(hist) == 960
+        seg = hist.reshape(6, 8, 20)
         assert seg[3].sum() == pytest.approx(1.0)
 
     def test_dimensions(self, rng):
         hist = D.wld_histogram(rng.random((12, 12)))
-        assert len(hist.bins) == 6 * 8 * 20
-        assert hist.bins.sum() == pytest.approx(1.0)
+        assert len(hist) == 6 * 8 * 20
+        assert hist.sum() == pytest.approx(1.0)
 
     def test_zero_center_guard_saturates(self):
         img = np.zeros((10, 10))
         img[3:6, 3:6] = 0.0
         img[4, 5] = 1.0  # nonzero neighbor sum around zero centers
         hist = D.wld_histogram(img)
-        assert np.isfinite(hist.bins).all()
-        assert hist.bins.sum() == pytest.approx(1.0)
+        assert np.isfinite(hist).all()
+        assert hist.sum() == pytest.approx(1.0)
 
 
 class TestExtract:
@@ -434,9 +434,9 @@ class TestExtract:
                                         r=1.0)
             single = D.extract(img, config)
             pair = D.extract(maps, config)
-            assert len(pair.bins) == 2 * len(single.bins)
-            assert pair.bins.sum() == pytest.approx(1.0, abs=1e-9)
-            assert D.feature_size(config, on_maps=True) == len(pair.bins)
+            assert len(pair) == 2 * len(single)
+            assert pair.sum() == pytest.approx(1.0, abs=1e-9)
+            assert D.feature_size(config, on_maps=True) == len(pair)
 
     def test_bf_lbp_paper_sizes(self):
         for p, r, size in [(16, 2.0, 36), (24, 3.0, 52)]:
@@ -452,14 +452,17 @@ class TestExtract:
         hist = D.extract(maps, config)
         # all-zero maps: every pixel ties at >= so the all-ones pattern
         # (label P) takes all the mass in each half
-        assert hist.bins[8] == pytest.approx(0.5)
-        assert hist.bins[18] == pytest.approx(0.5)
+        assert hist[8] == pytest.approx(0.5)
+        assert hist[18] == pytest.approx(0.5)
 
-    def test_scheme_tag(self, rng):
+    def test_returns_plain_float64_array(self, rng):
         img = rng.random((12, 12))
-        config = D.DescriptorConfig(family="clbp", scheme="S/M", p=8, r=1.0)
-        assert D.extract(img, config).scheme == "CLBP_S/M"
-        assert D.extract(bf_preprocess(img), config).scheme == "BF+CLBP_S/M"
+        for family in D.FAMILIES:
+            config = D.DescriptorConfig(family=family, scheme="S/M")
+            for source in (img, bf_preprocess(img)):
+                hist = D.extract(source, config)
+                assert type(hist) is np.ndarray
+                assert hist.dtype == np.float64 and hist.ndim == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pixel_rejected(self, rng, bad):

@@ -187,7 +187,7 @@ def reference_noise_rows(config):
                     noisy[i] = add_gaussian_noise(images[i], snr, rng)
                 feats = np.array([descriptors.extract(
                     apply_preprocessor(img, name, config),
-                    config.descriptor).bins for img in noisy])
+                    config.descriptor) for img in noisy])
                 refs = ReferenceSet(feats[train], labels[train])
                 accs.append(evaluate(feats[test], labels[test], refs)[0])
             rows[(name, f"{snr:g}")] = (float(np.mean(accs)),
@@ -286,7 +286,7 @@ class TestRunExperiment:
         for row in report.rows:
             feats = np.array([descriptors.extract(
                 apply_preprocessor(img, row.preprocessor, config),
-                config.descriptor).bins for img in images])
+                config.descriptor) for img in images])
             accs = scan_accuracies(feats, labels, splits)
             assert row.mean_accuracy == float(np.mean(accs))
             assert row.std_accuracy == (float(np.std(accs, ddof=1))
@@ -324,17 +324,22 @@ class TestRunExperiment:
         assert clean.mean_accuracy == float(np.mean(
             calls[:2] + [-1.0] + calls[3:4]))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in power")
-    def test_gamma_noise_rows_fail_on_negative_pixels(self, small_suite):
-        # unclipped noise makes negative pixels, x ** 2.2 turns them into
-        # NaN, and a NaN image is refused rather than given a histogram
-        report = run_experiment(small_config(
+    def test_gamma_noise_rows_have_finite_accuracies(self, small_suite):
+        # unclipped noise makes negative pixels; the sign-preserving gamma
+        # keeps them finite, so the noise rows are scored, not failed
+        first = load_image(load_manifest(small_suite).samples[0][0])
+        assert (add_gaussian_noise(first, 3.0, harness._rng(1, 0, 0)) < 0).any()
+        config = small_config(
             small_suite, preprocessors=("gamma",),
-            noise=NoiseSpec(snr_levels=(3.0,), repeats=2, seed=1)))
+            noise=NoiseSpec(snr_levels=(10.0, 3.0), repeats=2, seed=1))
+        report = run_experiment(config)
+        assert report.failures == []
         assert [(r.preprocessor, r.snr) for r in report.rows] == \
-            [("gamma", "clean")]
-        assert report.failures == [
-            ("gamma", "ValueError: image has NaN or infinite pixels")]
+            [("gamma", "clean"), ("gamma", "10"), ("gamma", "3")]
+        assert all(0.0 <= r.mean_accuracy <= 1.0 for r in report.rows)
+        got = {(r.preprocessor, r.snr): (r.mean_accuracy, r.std_accuracy)
+               for r in report.rows if r.snr != "clean"}
+        assert got == reference_noise_rows(config)
 
     def test_noise_rows_extract_only_corrupted_images(self, small_suite,
                                                       monkeypatch):
@@ -451,6 +456,25 @@ class TestConfigFiles:
     def test_bad_value_names_key(self, tmp_path):
         with pytest.raises(ConfigError, match="'p'"):
             build_experiment_config({"manifest": "m.txt", "p": "eight"})
+
+    def test_unknown_key_rejected(self):
+        # a misspelt n_train must not silently run with the default 10
+        with pytest.raises(ConfigError, match="unknown key 'n_trian'"):
+            build_experiment_config({"manifest": "m.txt", "n_trian": "5"})
+
+    def test_every_documented_key_accepted(self, tmp_path):
+        values = {
+            "manifest": "m.txt", "suite": "s", "preprocessor": "bf,gamma",
+            "family": "clbc", "scheme": "S_M/C", "p": "16", "r": "2",
+            "ltp_t": "0.01", "sigma1": "0.5", "sigma2": "3", "epsilon": "0",
+            "gamma": "1.8", "deriv_sigma": "2", "mode": "predefined",
+            "n_train": "4", "repeats": "3", "seed": "1", "snr_levels": "7",
+            "noise_repeats": "2", "noise_seed": "5", "corrupt_train": "yes",
+            "timing": "no"}
+        assert set(values) == set(harness.EXPERIMENT_KEYS)
+        config = build_experiment_config(values, base_dir=str(tmp_path))
+        assert (config.suite, config.split.n_train, config.gamma,
+                config.corrupt_train) == ("s", 4, 1.8, True)
 
     def test_bad_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

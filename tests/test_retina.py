@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bftex.image import gaussian_kernel_1d
 from bftex.retina import BfParams, bf_preprocess, dog_filter, split_maps
 from oracles import dog_kernel
 from test_image import dense_convolve_2d
+
+# seeded and small: every run draws the same examples
+FAST = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 class TestBfParams:
@@ -133,3 +138,40 @@ class TestBfPreprocess:
         a = bf_preprocess(img)
         b = bf_preprocess(img, BfParams(1.0, 4.0, 0.1))
         np.testing.assert_array_equal(a.raw, b.raw)
+
+
+class TestProperties:
+    @FAST
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(8, 24),
+           offset=st.floats(-10.0, 10.0))
+    def test_dog_invariant_to_constant_offset(self, seed, size, offset):
+        img = np.random.default_rng(seed).random((size, size))
+        np.testing.assert_allclose(dog_filter(img + offset, BfParams()),
+                                   dog_filter(img, BfParams()), atol=1e-12)
+
+    @staticmethod
+    def response(seed, size, epsilon):
+        """Signed response with exact threshold and zero values mixed in."""
+        rng = np.random.default_rng(seed)
+        resp = rng.standard_normal((size, size)) * 0.2
+        edges = np.array([epsilon, -epsilon, 0.0])
+        pick = rng.integers(0, 6, size=resp.shape)
+        return np.where(pick < 3, edges[np.minimum(pick, 2)], resp)
+
+    @FAST
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 16),
+           epsilon=st.floats(0.0, 0.5))
+    def test_maps_nonnegative_and_disjoint(self, seed, size, epsilon):
+        maps = split_maps(self.response(seed, size, epsilon), epsilon)
+        assert np.all(maps.plus >= 0) and np.all(maps.minus >= 0)
+        assert not np.any((maps.plus > 0) & (maps.minus > 0))
+
+    @FAST
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 16),
+           epsilon=st.floats(0.0, 0.5))
+    def test_maps_reconstruct_strong_response(self, seed, size, epsilon):
+        raw = self.response(seed, size, epsilon)
+        maps = split_maps(raw, epsilon)
+        strong = np.abs(raw) >= epsilon
+        np.testing.assert_array_equal((maps.plus - maps.minus)[strong],
+                                      raw[strong])
