@@ -1,23 +1,21 @@
 """Command-line entry point.
 
-Subcommands: filter, extract, classify, bench, experiment, sweep,
-gen-synthetic.  Exit codes: 0 success, 1 experiment-row failure,
-2 usage/config error.
+Subcommands: filter, extract, classify, experiment, sweep, gen-synthetic.
+Exit codes: 0 success, 1 experiment-row failure, 2 usage/config error.
+Timings come from the benchmark, `python3 perfbench/run.py --trace 1`.
 """
 
 import argparse
 import csv
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import descriptors, harness
 from .classify import ReferenceSet, nearest, score
 from .image import load_image, save_csv_matrix, save_pgm
-from .retina import (DEFAULT_EPSILON, DEFAULT_SIGMA1, DEFAULT_SIGMA2,
-                     BfParams, bf_preprocess)
+from .retina import BfParams, bf_preprocess
 from .synthetic import (DEFAULT_CLASSES, DEFAULT_PER_CLASS, DEFAULT_SIZE,
                         generate_suite)
 
@@ -27,21 +25,23 @@ EXIT_USAGE = 2
 
 
 def _add_bf_flags(p):
-    p.add_argument("--sigma1", type=float, default=DEFAULT_SIGMA1,
+    d = BfParams()
+    p.add_argument("--sigma1", type=float, default=d.sigma1,
                    help="photoreceptor blur std-dev (default %(default)s)")
-    p.add_argument("--sigma2", type=float, default=DEFAULT_SIGMA2,
+    p.add_argument("--sigma2", type=float, default=d.sigma2,
                    help="horizontal-cell blur std-dev (default %(default)s)")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
+    p.add_argument("--epsilon", type=float, default=d.epsilon,
                    help="uniform-region stability threshold (default %(default)s)")
 
 
 def _add_descriptor_flags(p):
-    p.add_argument("--family", choices=descriptors.FAMILIES, default="lbp")
-    p.add_argument("--scheme", default="S",
+    d = descriptors.DescriptorConfig()
+    p.add_argument("--family", choices=descriptors.FAMILIES, default=d.family)
+    p.add_argument("--scheme", default=d.scheme,
                    help="combination scheme for clbp/clbc (default %(default)s)")
-    p.add_argument("--p", type=int, default=8, help="neighbor count")
-    p.add_argument("--r", type=float, default=1.0, help="neighborhood radius")
-    p.add_argument("--ltp-t", type=float, default=descriptors.DEFAULT_LTP_T,
+    p.add_argument("--p", type=int, default=d.p, help="neighbor count")
+    p.add_argument("--r", type=float, default=d.r, help="neighborhood radius")
+    p.add_argument("--ltp-t", type=float, default=d.ltp_t,
                    help="ternary threshold (default %(default)s)")
 
 
@@ -104,34 +104,6 @@ def cmd_classify(args):
     return EXIT_OK
 
 
-def cmd_bench(args):
-    rng = np.random.Generator(np.random.Philox(key=0))
-    images = [rng.random((args.size, args.size)) for _ in range(args.count)]
-    params = BfParams()
-    t0 = time.perf_counter()
-    maps = [bf_preprocess(img, params) for img in images]
-    bf_total = time.perf_counter() - t0
-    print(f"BF preprocessing: {args.count} images of {args.size}x{args.size}: "
-          f"{bf_total:.3f}s total, {bf_total * 1000 / args.count:.3f} ms/image")
-    print(f"{'method':<22}{'ms/image':>10}{'feat size':>11}")
-    bench_set = [("LBP", "lbp", "S", False),
-                 ("BF + LBP", "lbp", "S", True),
-                 ("CLBP_S_M/C", "clbp", "S_M/C", False),
-                 ("CLBP_S/M", "clbp", "S/M", False)]
-    n_timed = min(args.count, 50)
-    for p in (16, 24):
-        r = 2.0 if p == 16 else 3.0
-        for label, family, scheme, on_maps in bench_set:
-            config = descriptors.DescriptorConfig(family=family, scheme=scheme,
-                                                  p=p, r=r)
-            sources = maps[:n_timed] if on_maps else images[:n_timed]
-            t0 = time.perf_counter()
-            hists = [descriptors.extract(s, config) for s in sources]
-            ms = (time.perf_counter() - t0) * 1000 / n_timed
-            print(f"{label + f'_P={p}':<22}{ms:>10.3f}{len(hists[0]):>11}")
-    return EXIT_OK
-
-
 def _finish_report(report, out):
     text = report.to_csv(out)
     clean = [row for row in report.rows if row.snr == "clean"]
@@ -160,18 +132,8 @@ def cmd_sweep(args):
     values = harness.parse_config_file(args.config)
     config = harness.build_experiment_config(
         values, base_dir=os.path.dirname(os.path.abspath(args.config)))
-    grid = harness.parse_config_file(args.grid)
-    harness.check_keys(grid, harness.GRID_KEYS)
-    def axis(key, default):
-        if key not in grid:
-            return default
-        return tuple(float(v) for v in grid[key].split(","))
-    report = harness.sweep_bf_params(
-        config,
-        axis("sigma1", (0.5, 0.75, 1.0, 1.25, 1.5)),
-        axis("sigma2", (2.0, 3.0, 4.0, 5.0, 6.0)),
-        axis("epsilon", (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)))
-    return _finish_report(report, args.out)
+    grid = harness.build_sweep_grid(harness.parse_config_file(args.grid))
+    return _finish_report(harness.sweep_bf_params(config, *grid), args.out)
 
 
 def cmd_gen_synthetic(args):
@@ -210,11 +172,6 @@ def build_parser():
     p.add_argument("--queries", required=True, help="query feature CSV")
     p.add_argument("--confusion", help="write the confusion matrix here")
     p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("bench", help="time preprocessing and descriptors")
-    p.add_argument("--size", type=int, choices=(128, 200), default=128)
-    p.add_argument("--count", type=int, default=1000)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("experiment", help="run a configured experiment")
     p.add_argument("--config", required=True)

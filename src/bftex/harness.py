@@ -11,6 +11,7 @@ reports are byte-reproducible.
 import csv
 import io
 import os
+import re
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -405,12 +406,8 @@ def average_over_epsilon(report):
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
-EXPERIMENT_KEYS = (
-    "manifest", "suite", "preprocessor", "family", "scheme", "p", "r",
-    "ltp_t", "sigma1", "sigma2", "epsilon", "gamma", "deriv_sigma", "mode",
-    "n_train", "repeats", "seed", "snr_levels", "noise_repeats",
-    "noise_seed", "corrupt_train", "timing")
-GRID_KEYS = ("sigma1", "sigma2", "epsilon")
+# A '#' at the start of a line or after whitespace starts a comment.
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 def parse_config_file(path):
@@ -418,8 +415,8 @@ def parse_config_file(path):
     values = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = _COMMENT.sub("", raw).strip()
+            if not line:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
@@ -437,7 +434,7 @@ def check_keys(values, known):
                           f"(known: {', '.join(known)})")
 
 
-def _get(values, key, conv, default):
+def _get(values, key, conv, default=None):
     if key not in values:
         return default
     try:
@@ -460,48 +457,77 @@ def _float_list(text):
     return tuple(float(v) for v in text.split(","))
 
 
+def _str_list(text):
+    return tuple(v.strip() for v in text.split(","))
+
+
+# Config-file key -> (ExperimentConfig field holding it, or None for the
+# config itself; field name; parser).  A key the file omits is not passed,
+# so it takes its dataclass default.
+CONFIG_KEYS = {
+    "manifest": (None, "manifest_path", str),
+    "suite": (None, "suite", str),
+    "preprocessor": (None, "preprocessors", _str_list),
+    "family": ("descriptor", "family", str),
+    "scheme": ("descriptor", "scheme", str),
+    "p": ("descriptor", "p", int),
+    "r": ("descriptor", "r", float),
+    "ltp_t": ("descriptor", "ltp_t", float),
+    "sigma1": ("bf_params", "sigma1", float),
+    "sigma2": ("bf_params", "sigma2", float),
+    "epsilon": ("bf_params", "epsilon", float),
+    "gamma": (None, "gamma", float),
+    "deriv_sigma": (None, "deriv_sigma", float),
+    "mode": ("split", "mode", str),
+    "n_train": ("split", "n_train", int),
+    "repeats": ("split", "repeats", int),
+    "seed": ("split", "seed", int),
+    "snr_levels": ("noise", "snr_levels", _float_list),
+    "noise_repeats": ("noise", "repeats", int),
+    "noise_seed": ("noise", "seed", int),
+    "corrupt_train": (None, "corrupt_train", _bool),
+    "timing": (None, "include_timing", _bool),
+}
+EXPERIMENT_KEYS = tuple(CONFIG_KEYS)
+_PART_TYPES = {"descriptor": descriptors.DescriptorConfig,
+               "bf_params": BfParams, "split": SplitPolicy, "noise": NoiseSpec}
+# Sweep grid file key -> the axis swept when the file omits it.
+SWEEP_GRID = {
+    "sigma1": (0.5, 0.75, 1.0, 1.25, 1.5),
+    "sigma2": (2.0, 3.0, 4.0, 5.0, 6.0),
+    "epsilon": (0.05, 0.1, 0.15, 0.2, 0.25, 0.3),
+}
+
+
 def build_experiment_config(values, base_dir="."):
-    """ExperimentConfig from a flat key-value dict (see parse_config_file)."""
+    """ExperimentConfig from a flat key-value dict (see parse_config_file).
+
+    The manifest path is resolved against base_dir.  Noise rows run only
+    when snr_levels is given.
+    """
     check_keys(values, EXPERIMENT_KEYS)
     if "manifest" not in values:
         raise ConfigError("missing required key 'manifest'")
-    manifest = values["manifest"]
-    if not os.path.isabs(manifest):
-        manifest = os.path.join(base_dir, manifest)
-    noise = None
-    if "snr_levels" in values:
-        noise = NoiseSpec(
-            snr_levels=_get(values, "snr_levels", _float_list, ()),
-            repeats=_get(values, "noise_repeats", int, 10),
-            seed=_get(values, "noise_seed", int, 0))
+    parts = {}
+    for key, (part, name, conv) in CONFIG_KEYS.items():
+        if key in values:
+            parts.setdefault(part, {})[name] = _get(values, key, conv)
+    top = parts.pop(None)
+    top["manifest_path"] = os.path.join(base_dir, top["manifest_path"])
+    if "snr_levels" not in values:
+        parts.pop("noise", None)
     try:
-        descriptor = descriptors.DescriptorConfig(
-            family=_get(values, "family", str, "lbp"),
-            scheme=_get(values, "scheme", str, "S"),
-            p=_get(values, "p", int, 8),
-            r=_get(values, "r", float, 1.0),
-            ltp_t=_get(values, "ltp_t", float, descriptors.DEFAULT_LTP_T))
-        bf_params = BfParams(sigma1=_get(values, "sigma1", float, 1.0),
-                             sigma2=_get(values, "sigma2", float, 4.0),
-                             epsilon=_get(values, "epsilon", float, 0.1))
-        split = SplitPolicy(mode=_get(values, "mode", str, "random"),
-                            n_train=_get(values, "n_train", int, 10),
-                            repeats=_get(values, "repeats", int, 1),
-                            seed=_get(values, "seed", int, 0))
-        return ExperimentConfig(
-            manifest_path=manifest,
-            suite=values.get("suite"),
-            preprocessors=tuple(v.strip() for v in
-                                _get(values, "preprocessor", str, "bf").split(",")),
-            bf_params=bf_params,
-            gamma=_get(values, "gamma", float, 2.2),
-            deriv_sigma=_get(values, "deriv_sigma", float, 1.0),
-            descriptor=descriptor,
-            split=split,
-            noise=noise,
-            corrupt_train=_get(values, "corrupt_train", _bool, False),
-            include_timing=_get(values, "timing", _bool, False))
+        return ExperimentConfig(**top, **{part: _PART_TYPES[part](**kw)
+                                          for part, kw in parts.items()})
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def build_sweep_grid(values):
+    """The (sigma1, sigma2, epsilon) axes of a grid file's key-value dict,
+    each a comma list; an omitted axis takes its SWEEP_GRID default."""
+    check_keys(values, SWEEP_GRID)
+    return [_get(values, key, _float_list, axis)
+            for key, axis in SWEEP_GRID.items()]

@@ -106,13 +106,14 @@ def load_image(path):
     raise ImageFormatError(f"unsupported image format in {path!r}", offset=0)
 
 
-def save_pgm(img, path, maxval=255):
-    """Write an 8-bit binary PGM, clamping intensities to [0, 1] first."""
+def save_pgm(img, path):
+    """Write an 8-bit binary PGM (maxval 255), clamping intensities to
+    [0, 1] first."""
     img = np.asarray(img, dtype=np.float64)
-    q = np.rint(np.clip(img, 0.0, 1.0) * maxval).astype(np.uint8)
+    q = np.rint(np.clip(img, 0.0, 1.0) * 255).astype(np.uint8)
     h, w = q.shape
     with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
+        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(q.tobytes())
 
 
@@ -158,12 +159,9 @@ def gaussian_derivative_kernel_1d(sigma, order):
     polynomial ramp: order 1 responds 1 to slope-1 ramps, order 2 responds
     0 to constants and linear ramps and 2 to x^2.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    radius = math.ceil(3.0 * sigma)
+    g = gaussian_kernel_1d(sigma)
+    radius = len(g) // 2
     x = np.arange(-radius, radius + 1, dtype=np.float64)
-    g = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    g /= g.sum()
     if order == 1:
         taps = x * g / (sigma * sigma)
         return taps / np.dot(x, taps)

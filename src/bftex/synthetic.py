@@ -13,9 +13,6 @@ import numpy as np
 
 from .image import gaussian_blur, save_pgm
 
-CLASS_NAMES = ("grating4", "grating8", "grating16", "checker6", "checker12",
-               "blobs4", "blobs2", "mix", "rings")
-
 DEFAULT_CLASSES = 8
 DEFAULT_PER_CLASS = 20
 DEFAULT_SIZE = 64
@@ -58,32 +55,25 @@ def _rings(size, cycles, rng):
     return 0.5 + 0.5 * np.sin(2 * np.pi * cycles * rad / size)
 
 
-def _pattern(class_idx, size, rng):
-    name = CLASS_NAMES[class_idx]
-    if name == "grating4":
-        return _grating(size, 4, rng)
-    if name == "grating8":
-        return _grating(size, 8, rng)
-    if name == "grating16":
-        return _grating(size, 16, rng)
-    if name == "checker6":
-        return _checker(size, 6, rng)
-    if name == "checker12":
-        return _checker(size, 12, rng)
-    if name == "blobs4":
-        return _blobs(size, 4.0, rng)
-    if name == "blobs2":
-        return _blobs(size, 2.0, rng)
-    if name == "mix":
-        return 0.5 * _grating(size, 6, rng) + 0.5 * _blobs(size, 3.0, rng)
-    if name == "rings":
-        return _rings(size, 8, rng)
-    raise ValueError(f"no generator for class index {class_idx}")
+# Class name -> pattern generator(size, rng), in label order.
+_PATTERNS = {
+    "grating4": lambda size, rng: _grating(size, 4, rng),
+    "grating8": lambda size, rng: _grating(size, 8, rng),
+    "grating16": lambda size, rng: _grating(size, 16, rng),
+    "checker6": lambda size, rng: _checker(size, 6, rng),
+    "checker12": lambda size, rng: _checker(size, 12, rng),
+    "blobs4": lambda size, rng: _blobs(size, 4.0, rng),
+    "blobs2": lambda size, rng: _blobs(size, 2.0, rng),
+    "mix": lambda size, rng: (0.5 * _grating(size, 6, rng)
+                              + 0.5 * _blobs(size, 3.0, rng)),
+    "rings": lambda size, rng: _rings(size, 8, rng),
+}
+CLASS_NAMES = tuple(_PATTERNS)
 
 
 def synth_image(class_idx, size, rng):
     """One synthetic texture in [0, 1]: pattern, gain/offset jitter, noise."""
-    pattern = _pattern(class_idx, size, rng)
+    pattern = _PATTERNS[CLASS_NAMES[class_idx]](size, rng)
     gain = rng.uniform(0.6, 1.0)
     offset = rng.uniform(0.0, 0.15)
     img = offset + gain * pattern * (1.0 - offset)

@@ -51,3 +51,20 @@ def dog_kernel(x, y, sigma1, sigma2):
     r2 = x * x + y * y
     return (math.exp(-r2 / (2.0 * sigma1 ** 2)) / (2.0 * math.pi * sigma1 ** 2)
             - math.exp(-r2 / (2.0 * sigma2 ** 2)) / (2.0 * math.pi * sigma2 ** 2))
+
+
+def derivative_kernel(sigma, order):
+    """Sampled derivative-of-Gaussian kernel of order 1 or 2, written out
+    from the Gaussian formula: radius ceil(3*sigma), unit-sum Gaussian
+    taps, order 1 scaled to respond 1 to a slope-1 ramp, order 2 made
+    zero-sum and scaled to respond 2 to x^2."""
+    radius = math.ceil(3.0 * sigma)
+    x = np.arange(-radius, radius + 1, dtype=np.float64)
+    g = np.exp(-(x * x) / (2.0 * sigma * sigma))
+    g /= g.sum()
+    if order == 1:
+        taps = x * g / (sigma * sigma)
+        return taps / np.dot(x, taps)
+    taps = (x * x / sigma ** 4 - 1.0 / sigma ** 2) * g
+    taps -= taps.mean()
+    return taps * (2.0 / np.dot(x * x, taps))

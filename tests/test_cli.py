@@ -188,6 +188,14 @@ class TestSweepCommand:
         assert "unknown key 'sigma_2'" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_bad_grid_value_names_key(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("manifest = m.txt\n")
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("sigma1 = abc\n")
+        assert run_cli(["sweep", "--config", str(cfg), "--grid", str(grid)]) == 2
+        assert "'sigma1'" in capsys.readouterr().err
+
 
 class TestGenSynthetic:
     def test_generates_manifest(self, tmp_path):
@@ -203,14 +211,6 @@ class TestGenSynthetic:
         name = lines[0].split()[0]
         img = load_image(out / name)
         assert img.shape == (48, 48)
-
-
-class TestBenchCommand:
-    def test_small_run(self, capsys):
-        assert run_cli(["bench", "--size", "128", "--count", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "BF preprocessing" in out
-        assert "CLBP_S/M_P=24" in out
 
 
 def test_help_lists_defaults(capsys):

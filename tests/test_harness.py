@@ -1,5 +1,6 @@
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,6 +476,76 @@ class TestConfigFiles:
         config = build_experiment_config(values, base_dir=str(tmp_path))
         assert (config.suite, config.split.n_train, config.gamma,
                 config.corrupt_train) == ("s", 4, 1.8, True)
+
+    # key -> (file value, ExperimentConfig part or None, field, parsed value)
+    ONE_KEY = {
+        "suite": ("s", None, "suite", "s"),
+        "preprocessor": ("bf, gamma", None, "preprocessors", ("bf", "gamma")),
+        "family": ("clbc", "descriptor", "family", "clbc"),
+        "scheme": ("S_M/C", "descriptor", "scheme", "S_M/C"),
+        "p": ("16", "descriptor", "p", 16),
+        "r": ("2", "descriptor", "r", 2.0),
+        "ltp_t": ("0.01", "descriptor", "ltp_t", 0.01),
+        "sigma1": ("0.5", "bf_params", "sigma1", 0.5),
+        "sigma2": ("3", "bf_params", "sigma2", 3.0),
+        "epsilon": ("0", "bf_params", "epsilon", 0.0),
+        "gamma": ("1.8", None, "gamma", 1.8),
+        "deriv_sigma": ("2", None, "deriv_sigma", 2.0),
+        "mode": ("predefined", "split", "mode", "predefined"),
+        "n_train": ("4", "split", "n_train", 4),
+        "repeats": ("3", "split", "repeats", 3),
+        "seed": ("1", "split", "seed", 1),
+        "snr_levels": ("7, 2.5", None, "noise", NoiseSpec(snr_levels=(7.0, 2.5))),
+        "corrupt_train": ("yes", None, "corrupt_train", True),
+        "timing": ("on", None, "include_timing", True),
+    }
+
+    def test_omitted_keys_take_dataclass_defaults(self, tmp_path):
+        base = ExperimentConfig(manifest_path=str(tmp_path / "m.txt"))
+        build = lambda **kw: build_experiment_config(
+            {"manifest": "m.txt", **kw}, base_dir=str(tmp_path))
+        assert build() == base
+        for key, (text, part, name, value) in self.ONE_KEY.items():
+            want = (replace(base, **{name: value}) if part is None else
+                    replace(base, **{part: replace(getattr(base, part),
+                                                   **{name: value})}))
+            assert build(**{key: text}) == want, key
+        # noise settings alone add no noise rows, but must still parse
+        assert build(noise_repeats="2", noise_seed="5") == base
+        with pytest.raises(ConfigError, match="'noise_repeats'"):
+            build(noise_repeats="two")
+        assert build(snr_levels="7", noise_repeats="2", noise_seed="5").noise \
+            == NoiseSpec(snr_levels=(7.0,), repeats=2, seed=5)
+        assert set(self.ONE_KEY) | {"manifest", "noise_repeats",
+                                    "noise_seed"} == set(harness.EXPERIMENT_KEYS)
+
+    def test_absolute_manifest_path_kept(self, tmp_path):
+        manifest = str(tmp_path / "suite" / "m.txt")
+        config = build_experiment_config({"manifest": manifest},
+                                         base_dir="elsewhere")
+        assert config.manifest_path == manifest
+
+    def test_inline_comments(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("# full line\n"
+                       "  # indented\n"
+                       "suite = tc10 # trailing\n"
+                       "manifest = run#1/m.txt\t# after a tab\n")
+        assert parse_config_file(cfg) == {"suite": "tc10",
+                                          "manifest": "run#1/m.txt"}
+
+    def test_readme_sample_builds(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        sample = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(sample)
+        values = parse_config_file(cfg)
+        assert set(values) == set(harness.EXPERIMENT_KEYS)
+        config = build_experiment_config(values, base_dir=str(tmp_path))
+        # the sample lists the defaults, plus a suite name and noise levels
+        assert config == ExperimentConfig(
+            manifest_path=str(tmp_path / "suite" / "manifest.txt"),
+            suite="tc10", noise=NoiseSpec(snr_levels=(30.0, 15.0, 10.0, 5.0)))
 
     def test_bad_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -6,6 +6,8 @@ from bftex.image import (ImageFormatError, convolve_separable,
                          load_csv_matrix, load_image, load_pgm,
                          save_csv_matrix, save_pgm)
 
+from oracles import derivative_kernel
+
 
 def write_pgm_bytes(path, header, payload):
     with open(path, "wb") as f:
@@ -142,6 +144,16 @@ class TestDerivativeKernels:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             gaussian_derivative_kernel_1d(1.0, 3)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_equals_written_out_kernel(self, order):
+        for sigma in np.linspace(0.1, 6.0, 300):
+            assert np.array_equal(gaussian_derivative_kernel_1d(sigma, order),
+                                  derivative_kernel(sigma, order))
+
+    def test_invalid_sigma(self):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            gaussian_derivative_kernel_1d(0.0, 1)
 
 
 def dense_convolve_2d(img, kernel_1d):
