@@ -20,7 +20,7 @@ class ReferenceSet:
         if len(self.labels) != len(self.histograms):
             raise ValueError("label count does not match histogram count")
         _check_labels(self.labels, "reference")
-        _check_finite(self.histograms, "reference")
+        _check_bins(self.histograms, "reference")
 
     @property
     def dims(self):
@@ -32,18 +32,25 @@ def _check_labels(labels, what):
         raise ValueError(f"{what} labels must be >= 0, got {labels.min()}")
 
 
-def _check_finite(histograms, what):
+def _check_bins(histograms, what):
+    """Histogram bins must be finite and non-negative: with a negative bin,
+    h = -q would make a 0/0 term and two different histograms could lie at
+    distance 0."""
     if not np.isfinite(histograms).all():
         raise ValueError(f"{what} histograms contain NaN or infinite bins")
+    if (histograms < 0).any():
+        raise ValueError(f"{what} histograms contain negative bins")
 
 
 def chi2(h, k):
     """Chi-square distance sum (h_i - k_i)^2 / (h_i + k_i); 0/0 bins
-    contribute zero."""
+    contribute zero.  Bins must be non-negative."""
     h = np.asarray(h, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     if h.shape != k.shape:
         raise ValueError(f"histogram length mismatch: {h.shape} vs {k.shape}")
+    if (h < 0).any() or (k < 0).any():
+        raise ValueError("histograms contain negative bins")
     denom = h + k
     num = (h - k) ** 2
     return float(np.sum(np.divide(num, denom, out=np.zeros_like(num),
@@ -59,12 +66,11 @@ _BLOCK_CELLS = 1 << 15
 def chi2_matrix(queries, refs):
     """(m, n) chi-square distances from every query row to every reference.
 
-    Each distance is the chi2() of the pair, bit for bit: the terms are
-    formed in the same order, 0/0 and x/0 terms are zeroed, and each row
-    of terms is summed over a contiguous buffer.  Reference rows go
-    through in fixed blocks, so the scratch stays bounded and is allocated
-    once per call.  Queries must be finite (ReferenceSet checks the
-    references).
+    Each distance is the chi2() of the pair, bit for bit, for finite,
+    non-negative bins whose sums do not overflow: the terms are formed in
+    the same order, and each row of terms is summed over a contiguous
+    buffer.  Queries must be finite and non-negative (ReferenceSet checks
+    the references).
     """
     queries = np.asarray(queries, dtype=np.float64)
     if len(queries) == 0:
@@ -74,26 +80,44 @@ def chi2_matrix(queries, refs):
     if queries.shape[1] != refs.dims:
         raise ValueError(f"query length {queries.shape[1]} != reference "
                          f"dims {refs.dims}")
-    _check_finite(queries, "query")
-    hists = refs.histograms
+    _check_bins(queries, "query")
+    return _chi2_blocks(queries, refs.histograms)
+
+
+def _chi2_triangle(refs):
+    """chi2_matrix(refs.histograms, refs), bit for bit, with each pair
+    computed once: chi2 is bit-symmetric, because h + q and (h - q)^2 give
+    the same floats in either order."""
+    return _chi2_blocks(refs.histograms, refs.histograms, symmetric=True)
+
+
+def _chi2_blocks(queries, hists, symmetric=False):
+    """The chi2 kernel.  Reference rows go through in fixed blocks, so the
+    scratch stays bounded and is allocated once per call.
+
+    With non-negative bins, h + q = 0 only where h = q = 0; that term is
+    0/0 = NaN, and fmax turns it into 0.  With ``symmetric`` (queries are
+    the references), a block is compared only with the queries up to its
+    end, and its columns are then mirrored into its rows.
+    """
     n, d = hists.shape
     block = min(n, max(1, _BLOCK_CELLS // max(d, 1)))
     den, terms = np.empty((block, d)), np.empty((block, d))
-    zero = np.empty((block, d), dtype=bool)
     dist = np.empty((len(queries), n))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):
         for j0 in range(0, n, block):
-            k = min(block, n - j0)
-            h = hists[j0:j0 + k]
-            bden, bterms, bzero = den[:k], terms[:k], zero[:k]
-            for i, q in enumerate(queries):
+            j1 = min(n, j0 + block)
+            h = hists[j0:j1]
+            bden, bterms = den[:j1 - j0], terms[:j1 - j0]
+            for i, q in enumerate(queries[:j1] if symmetric else queries):
                 np.add(h, q, out=bden)
                 np.subtract(h, q, out=bterms)
                 np.square(bterms, out=bterms)
                 np.divide(bterms, bden, out=bterms)
-                np.equal(bden, 0, out=bzero)
-                np.putmask(bterms, bzero, 0.0)
-                bterms.sum(axis=1, out=dist[i, j0:j0 + k])
+                np.fmax(bterms, 0.0, out=bterms)
+                bterms.sum(axis=1, out=dist[i, j0:j1])
+            if symmetric:
+                dist[j0:j1, :j0] = dist[:j0, j0:j1].T
     return dist
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines, descriptors
-from .classify import ReferenceSet, chi2_matrix, evaluate
+from .classify import ReferenceSet, _chi2_triangle, chi2_matrix, evaluate
 from .image import load_image
 from .retina import BfParams, bf_preprocess
 
@@ -273,21 +273,41 @@ def _extract_features(images, name, config):
     return np.asarray(feats), ms
 
 
+def _split_distances(feats, labels, splits):
+    """(dist, rows, cols): the chi2 distances from the samples in ``rows``
+    to those in ``cols``, which cover every split's test and training
+    indices, both sorted.
+
+    When the unions overlap enough that half the square over their union
+    (|union|^2 / 2) is smaller than the rectangle |test union| x |train
+    union|, as with random splits, the union is compared with itself and
+    each pair is computed once.  Otherwise, as with disjoint predefined
+    splits or noise rows, the test union is compared with the training
+    union.  The matrix takes 8 bytes per cell, at most 8 N^2 bytes for N
+    samples.
+    """
+    rows = sorted(set().union(*(test for _, test in splits)))
+    cols = sorted(set().union(*(train for train, _ in splits)))
+    union = sorted(set(rows).union(cols))
+    if len(union) ** 2 / 2 < len(rows) * len(cols):
+        return (_chi2_triangle(ReferenceSet(feats[union], labels[union])),
+                union, union)
+    return (chi2_matrix(feats[rows], ReferenceSet(feats[cols], labels[cols])),
+            rows, cols)
+
+
 def _run_splits(feats, labels, splits):
     """Accuracy per split; features indexed by sample id.  Returns
     (accuracies, mean per-query match ms).
 
     Splits re-score the same (test, train) pairs, so every distance is
-    computed once, between the union of the test sets and the union of
-    the training sets; that matrix takes 8 bytes per (test, train) pair
-    of the unions, at most 8 N^2 bytes for N samples.  Each split is then
-    evaluated on its own rows and columns of it.  Training columns keep
-    their sorted order, so ties still go to the lowest training index.
+    computed once (see _split_distances), and each split is then
+    evaluated on its own rows and columns of the matrix.  Training
+    columns keep their sorted order, so ties still go to the lowest
+    training index.
     """
-    rows = sorted(set().union(*(test for _, test in splits)))
-    cols = sorted(set().union(*(train for train, _ in splits)))
     t0 = time.perf_counter()
-    dist = chi2_matrix(feats[rows], ReferenceSet(feats[cols], labels[cols]))
+    dist, rows, cols = _split_distances(feats, labels, splits)
     accs = []
     for train, test in splits:
         sub = dist[np.ix_(np.searchsorted(rows, test),
@@ -389,18 +409,6 @@ def sweep_bf_params(config, sigma1_values, sigma2_values, epsilon_values):
                             include_timing=config.include_timing)
 
 
-def average_over_epsilon(report):
-    """Mean accuracy per (sigma1, sigma2) across epsilon values, from a
-    sweep report; returns {(s1, s2): mean accuracy} for clean rows."""
-    groups = {}
-    for row in report.rows:
-        if row.snr != "clean" or not row.preprocessor.startswith("bf["):
-            continue
-        s1, s2, _ = row.preprocessor[3:-1].split(",")
-        groups.setdefault((float(s1), float(s2)), []).append(row.mean_accuracy)
-    return {k: float(np.mean(v)) for k, v in groups.items()}
-
-
 # ---------------------------------------------------------------------------
 # flat key-value config files
 
@@ -412,7 +420,7 @@ _COMMENT = re.compile(r"(?:^|\s)#.*")
 
 def parse_config_file(path):
     """Parse `key = value` lines; # comments and blanks ignored."""
-    values = {}
+    values, seen = {}, {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = _COMMENT.sub("", raw).strip()
@@ -421,7 +429,11 @@ def parse_config_file(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key in seen:
+                raise ConfigError(f"{path}:{lineno}: key '{key}' already "
+                                  f"set on line {seen[key]}")
+            values[key], seen[key] = val.strip(), lineno
     return values
 
 

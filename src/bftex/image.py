@@ -126,12 +126,6 @@ def save_csv_matrix(img, path):
             writer.writerow([repr(float(v)) for v in row])
 
 
-def load_csv_matrix(path):
-    with open(path, newline="") as f:
-        rows = [[float(v) for v in row] for row in csv.reader(f) if row]
-    return np.asarray(rows, dtype=np.float64)
-
-
 def check_finite(img):
     """Raise ValueError when the image has a NaN or infinite pixel."""
     if not np.isfinite(img).all():

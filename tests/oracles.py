@@ -1,6 +1,7 @@
 """Scalar reference implementations that the tests compare the vectorized
 package code against."""
 
+import csv
 import math
 from functools import lru_cache
 
@@ -68,3 +69,10 @@ def derivative_kernel(sigma, order):
     taps = (x * x / sigma ** 4 - 1.0 / sigma ** 2) * g
     taps -= taps.mean()
     return taps * (2.0 / np.dot(x * x, taps))
+
+
+def load_csv_matrix(path):
+    """A matrix written by bftex.image.save_csv_matrix, read back."""
+    with open(path, newline="") as f:
+        rows = [[float(v) for v in row] for row in csv.reader(f) if row]
+    return np.asarray(rows, dtype=np.float64)

@@ -71,16 +71,48 @@ class TestChi2Matrix:
         zero_cols = rng.random(d) < 0.2
         refs[:, zero_cols] = queries[:, zero_cols] = 0.0
         queries[0] = refs[rng.integers(n)]  # a query equal to a reference
-        if m > 1:  # bins where h = -q != 0 contribute zero
-            j = rng.integers(n)
-            opposite = refs[j] != 0
-            queries[1, opposite] = -refs[j, opposite]
         ref_set = ReferenceSet(refs, np.zeros(n, int))
         got = chi2_matrix(queries, ref_set)
         want = np.array([[chi2(h, q) for h in refs] for q in queries])
         assert np.array_equal(got, want)
         for q, row in zip(queries, got):
             assert np.array_equal(classify.chi2_all(q, ref_set), row)
+
+    def test_negative_bins_rejected(self, rng):
+        # with h = -q every term would be 0/0, so distinct histograms would
+        # lie at distance 0
+        with pytest.raises(ValueError, match="negative"):
+            chi2([1.0, -1.0], [-1.0, 1.0])
+        with pytest.raises(ValueError, match="reference histograms contain "
+                                             "negative"):
+            ReferenceSet([[1.0, -1.0]], [0])
+        refs = ReferenceSet(rng.random((3, 4)), [0, 1, 0])
+        queries = rng.random((2, 4))
+        queries[1, 2] = -1e-300
+        with pytest.raises(ValueError, match="query histograms contain "
+                                             "negative"):
+            chi2_matrix(queries, refs)
+        queries[1, 2] = -0.0  # compares equal to zero, so it is accepted
+        assert np.array_equal(chi2_matrix(queries, refs)[1],
+                              [chi2(h, queries[1]) for h in refs.histograms])
+
+    @pytest.mark.parametrize("d", [1, 20, 1296])
+    @pytest.mark.parametrize("blocks", [1, 4])
+    def test_triangle_equals_chi2_matrix(self, rng, monkeypatch, d, blocks):
+        # at most 8 rows a block, so four blocks stay small at any d
+        monkeypatch.setattr(classify, "_BLOCK_CELLS",
+                            min(classify._BLOCK_CELLS, 8 * d))
+        b = block_rows(d)
+        n = b if blocks == 1 else 3 * b + 2  # crosses three block boundaries
+        hists = rng.random((n, d)) * 10.0 ** rng.integers(-6, 3, size=(n, 1))
+        hists[rng.random((n, d)) < 0.5] = 0.0
+        hists[[1, n - 1]] = 0.0  # all-zero rows: every term is 0/0
+        hists[n // 2] = hists[0]  # duplicates, across blocks when blocks > 1
+        hists[n - 2] = hists[3]
+        refs = ReferenceSet(hists, np.zeros(n, int))
+        got = classify._chi2_triangle(refs)
+        assert np.array_equal(got, chi2_matrix(hists, refs))
+        assert got[1, n - 1] == got[0, n // 2] == 0.0
 
     def test_many_blocks(self, rng):
         d = 300

@@ -3,8 +3,10 @@ import pytest
 
 from bftex.classify import ReferenceSet, chi2, nn_classify
 from bftex.cli import main
-from bftex.image import load_csv_matrix, load_image, save_pgm
+from bftex.image import load_image, save_pgm
 from bftex.synthetic import generate_suite
+
+from oracles import load_csv_matrix
 
 
 def run_cli(args):
@@ -127,6 +129,17 @@ class TestExtractClassify:
         bad.write_text("c,-1,0.5,0.5\n")
         assert run_cli(["classify", "--refs", str(feats),
                         "--queries", str(bad)]) == 2
+
+
+    def test_negative_bin_is_usage_error(self, tmp_path, capsys):
+        # chi2 would put these two different vectors at distance 0
+        feats = tmp_path / "f.csv"
+        feats.write_text("a,0,1.0,-1.0\n")
+        queries = tmp_path / "q.csv"
+        queries.write_text("b,1,-1.0,1.0\n")
+        assert run_cli(["classify", "--refs", str(feats),
+                        "--queries", str(queries)]) == 2
+        assert "negative bins" in capsys.readouterr().err
 
 
 class TestExperimentCommand:

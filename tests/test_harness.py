@@ -13,7 +13,7 @@ from bftex.descriptors import DescriptorConfig, feature_size
 from bftex.harness import (ConfigError, ExperimentConfig, ExperimentReport,
                            Manifest, ManifestError, NoiseSpec, SplitPolicy,
                            add_gaussian_noise, apply_preprocessor,
-                           average_over_epsilon, build_experiment_config,
+                           build_experiment_config,
                            load_manifest, make_splits, parse_config_file,
                            run_experiment, sweep_bf_params)
 from bftex.image import load_image
@@ -293,6 +293,38 @@ class TestRunExperiment:
             assert row.std_accuracy == (float(np.std(accs, ddof=1))
                                         if len(accs) > 1 else None)
 
+    @pytest.mark.parametrize("mode,path", [("random", "_chi2_triangle"),
+                                           ("predefined", "chi2_matrix")])
+    def test_run_splits_equals_per_split_evaluate(self, rng, monkeypatch,
+                                                  mode, path):
+        labels = np.repeat(np.arange(4), 10)
+        feats = rng.random((40, 30))
+        feats[[7, 12, 25]] = feats[2]  # ties across classes
+        feats[[9, 31]] = 0.0
+        if mode == "predefined":  # disjoint train and test sets
+            splits = [(list(range(0, 40, 2)), list(range(1, 40, 2)))]
+        else:
+            manifest = Manifest([(f"{i}.pgm", lab)
+                                 for i, lab in enumerate(labels)])
+            splits = make_splits(manifest, SplitPolicy(n_train=4, repeats=5,
+                                                       seed=3))
+        calls = []
+
+        def spy(name):
+            real = getattr(harness, name)
+
+            def record(*args):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(harness, name, record)
+        spy("_chi2_triangle")
+        spy("chi2_matrix")
+        accs, _ = harness._run_splits(feats, labels, splits)
+        assert calls == [path]
+        assert accs == [evaluate(feats[test], labels[test],
+                                 ReferenceSet(feats[train], labels[train]))[0]
+                        for train, test in splits]
+
     def test_non_finite_image_is_a_failure_row(self, small_suite):
         manifest = load_manifest(small_suite)
         images = [load_image(p) for p, _ in manifest.samples]
@@ -425,13 +457,6 @@ class TestSweep:
         assert report.failures == failures
         assert report.to_csv() == ExperimentReport(rows, failures).to_csv()
 
-    def test_average_over_epsilon(self, small_suite):
-        report = sweep_bf_params(small_config(small_suite,
-                                              preprocessors=("bf",)),
-                                 [1.0], [3.0, 4.0], [0.05, 0.1])
-        means = average_over_epsilon(report)
-        assert set(means) == {(1.0, 3.0), (1.0, 4.0)}
-
 
 class TestConfigFiles:
     def test_parse_and_build(self, tmp_path, small_suite):
@@ -546,6 +571,19 @@ class TestConfigFiles:
         assert config == ExperimentConfig(
             manifest_path=str(tmp_path / "suite" / "manifest.txt"),
             suite="tc10", noise=NoiseSpec(snr_levels=(30.0, 15.0, 10.0, 5.0)))
+
+    @pytest.mark.parametrize("text,key,first", [
+        ("manifest = m.txt\nn_train = 5\n\nn_train = 3\n", "n_train", 2),
+        ("sigma1 = 1.0\n# note\nsigma2 = 3.0\n sigma1=2 # again\n",
+         "sigma1", 1)])
+    def test_repeated_key_rejected(self, tmp_path, text, key, first):
+        # in experiment and grid files alike, a later value must not
+        # silently override an earlier one
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError, match=f":4: key '{key}' already set "
+                                              f"on line {first}"):
+            parse_config_file(cfg)
 
     def test_bad_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -3,10 +3,9 @@ import pytest
 
 from bftex.image import (ImageFormatError, convolve_separable,
                          gaussian_derivative_kernel_1d, gaussian_kernel_1d,
-                         load_csv_matrix, load_image, load_pgm,
-                         save_csv_matrix, save_pgm)
+                         load_image, load_pgm, save_csv_matrix, save_pgm)
 
-from oracles import derivative_kernel
+from oracles import derivative_kernel, load_csv_matrix
 
 
 def write_pgm_bytes(path, header, payload):
