@@ -19,8 +19,8 @@ def gamma_correct(img, gamma):
     On [0, 1] this is exactly img ** gamma; below 0 (unclipped noise) it is
     the odd extension, so negative pixels stay finite instead of NaN.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be in (0, inf), got {gamma}")
     img = np.asarray(img, dtype=np.float64)
     return np.copysign(np.power(np.abs(img), gamma), img)
 

@@ -15,16 +15,12 @@ class ReferenceSet:
     def __post_init__(self):
         self.histograms = np.asarray(self.histograms, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.histograms.ndim != 2 or len(self.histograms) == 0:
-            raise ValueError("reference set must hold at least one histogram")
+        if self.histograms.ndim != 2 or 0 in self.histograms.shape:
+            raise ValueError("need a reference histogram of at least one bin")
         if len(self.labels) != len(self.histograms):
             raise ValueError("label count does not match histogram count")
         _check_labels(self.labels, "reference")
         _check_bins(self.histograms, "reference")
-
-    @property
-    def dims(self):
-        return self.histograms.shape[1]
 
 
 def _check_labels(labels, what):
@@ -77,9 +73,9 @@ def chi2_matrix(queries, refs):
         raise ValueError("no queries to evaluate")
     if queries.ndim != 2:
         raise ValueError("queries must be a 2-D array of histograms")
-    if queries.shape[1] != refs.dims:
+    if queries.shape[1] != refs.histograms.shape[1]:
         raise ValueError(f"query length {queries.shape[1]} != reference "
-                         f"dims {refs.dims}")
+                         f"dims {refs.histograms.shape[1]}")
     _check_bins(queries, "query")
     return _chi2_blocks(queries, refs.histograms)
 
@@ -150,34 +146,33 @@ def nearest(queries, refs):
     return refs.labels[np.concatenate(idx)], np.concatenate(dists)
 
 
-def score(predicted, query_labels, refs):
+def score(predicted, query_labels, ref_labels):
     """(accuracy, confusion matrix) of predicted against true labels.
 
     Confusion rows are true classes, columns predicted classes, indexed by
-    raw label value up to the largest label seen.
+    raw label value up to the largest query or reference label.
     """
     query_labels = np.asarray(query_labels, dtype=np.int64)
+    ref_labels = np.asarray(ref_labels, dtype=np.int64)
     if len(query_labels) != len(predicted):
         raise ValueError(f"{len(query_labels)} query labels for "
                          f"{len(predicted)} predictions")
     _check_labels(query_labels, "query")
-    n_classes = int(max(query_labels.max(), refs.labels.max())) + 1
+    _check_labels(ref_labels, "reference")
+    n_classes = int(max(query_labels.max(), ref_labels.max())) + 1
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (query_labels, predicted), 1)
     return int(np.sum(predicted == query_labels)) / len(predicted), confusion
 
 
-def evaluate(queries, query_labels, refs, dist=None):
-    """Classify every query; returns (accuracy, confusion matrix) as in
-    score().  Labels must be >= 0 and histograms finite.  A caller that
-    already holds chi2_matrix(queries, refs) passes it as ``dist``, and
-    the distances are not computed again."""
-    if dist is None:
-        predicted, _ = nearest(queries, refs)
-    else:
-        if dist.shape != (len(queries), len(refs.labels)):
-            raise ValueError(f"distance matrix {dist.shape} does not match "
-                             f"{len(queries)} queries x {len(refs.labels)} "
-                             "references")
-        predicted = refs.labels[np.argmin(dist, axis=1)]
-    return score(predicted, query_labels, refs)
+def evaluate(dist, query_labels, ref_labels):
+    """score() of the nearest reference to every query, from the (queries
+    x references) chi2 matrix ``dist``; ties go to the lowest reference
+    index."""
+    ref_labels = np.asarray(ref_labels, dtype=np.int64)
+    if np.shape(dist) != (len(query_labels), len(ref_labels)):
+        raise ValueError(f"distance matrix {np.shape(dist)} does not match "
+                         f"{len(query_labels)} query labels x "
+                         f"{len(ref_labels)} reference labels")
+    return score(ref_labels[np.argmin(dist, axis=1)], query_labels,
+                 ref_labels)

@@ -6,6 +6,7 @@ Timings come from the benchmark, `python3 perfbench/run.py --trace 1`.
 """
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -68,22 +69,21 @@ def cmd_extract(args):
         hist = descriptors.extract(source, config)
         rows.append([os.path.basename(path), str(args.label)]
                     + [repr(float(v)) for v in hist])
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        csv.writer(out, lineterminator="\n").writerows(rows)
     return EXIT_OK
 
 
 def _read_feature_csv(path):
     ids, labels, feats = [], [], []
     with open(path, newline="") as f:
-        for row in csv.reader(f):
+        for lineno, row in enumerate(csv.reader(f), start=1):
             if not row:
                 continue
+            if len(row) < 2:
+                raise ValueError(f"{path}:{lineno}: expected "
+                                 "'<id>,<label>,<bin>,...'")
             ids.append(row[0])
             labels.append(int(row[1]))
             feats.append([float(v) for v in row[2:]])
@@ -95,7 +95,7 @@ def cmd_classify(args):
     ids, q_labels, q_feats = _read_feature_csv(args.queries)
     refs = ReferenceSet(ref_feats, ref_labels)
     predicted, dists = nearest(q_feats, refs)
-    acc, confusion = score(predicted, q_labels, refs)
+    acc, confusion = score(predicted, q_labels, refs.labels)
     for sid, pred, dist in zip(ids, predicted, dists):
         print(f"{sid},{pred},{dist:.6f}")
     print(f"accuracy,{acc:.6f}")

@@ -55,8 +55,8 @@ class NeighborhoodSpec:
     def __post_init__(self):
         if not 4 <= self.p <= MAX_P:
             raise ValueError(f"need 4 to {MAX_P} neighbors, got P={self.p}")
-        if self.r <= 0:
-            raise ValueError(f"radius must be positive, got R={self.r}")
+        if not 0 < self.r < math.inf:
+            raise ValueError(f"radius r must be in (0, inf), got R={self.r}")
 
     @property
     def margin(self):
@@ -80,6 +80,8 @@ class DescriptorConfig:
                 self.scheme not in COMBINATION_SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         NeighborhoodSpec(self.p, self.r)  # rejects out-of-range P and R
+        if not 0 <= self.ltp_t < math.inf:
+            raise ValueError(f"ltp_t must be in [0, inf), got {self.ltp_t}")
 
     @property
     def spec(self):
@@ -264,8 +266,8 @@ def build_histogram(s, m, c, scheme, nbins_per_code):
 def ltp_histogram(img, spec, t=DEFAULT_LTP_T):
     """Ternary pattern: upper bits [n >= c+t], lower bits [n <= c-t],
     each riu2-mapped; the two histograms are concatenated (2(P+2) bins)."""
-    if t < 0:
-        raise ValueError(f"ltp threshold must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"ltp_t must be in [0, inf), got {t}")
     stack = neighbor_stack(img, spec)
     center = interior(img, spec)
     upper = riu2_from_bits(stack >= center + t)

@@ -2,14 +2,15 @@
 
 A manifest lists image paths with integer class labels (and optional
 predefined train/test flags).  Experiments preprocess every image, extract
-the configured descriptor, build a nearest-neighbor reference set from the
-training side of each split and report mean/std accuracy per noise level
-as CSV.  All randomness flows through seeded counter-based generators so
-reports are byte-reproducible.
+the configured descriptor, match each split's test side to its training
+side by chi-square nearest neighbour and report mean/std accuracy per
+noise level as CSV.  All randomness flows through seeded counter-based
+generators so reports are byte-reproducible.
 """
 
 import csv
 import io
+import math
 import os
 import re
 import time
@@ -121,8 +122,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if any(s <= 0 for s in self.snr_levels):
-            raise ConfigError("snr levels must be positive")
+        if not all(0 < s < math.inf for s in self.snr_levels):
+            raise ConfigError(f"snr_levels must be in (0, inf), got "
+                              f"{self.snr_levels}")
         if self.repeats < 1:
             raise ConfigError("noise repeats must be >= 1")
 
@@ -168,8 +170,8 @@ def add_gaussian_noise(img, snr, rng):
     A constant image has zero signal deviation, so it is returned unchanged
     (with a warning) rather than dividing by zero.
     """
-    if snr <= 0:
-        raise ValueError(f"snr must be positive, got {snr}")
+    if not 0 < snr < math.inf:
+        raise ValueError(f"snr must be in (0, inf), got {snr}")
     img = np.asarray(img, dtype=np.float64)
     sigma_signal = float(img.std())
     if sigma_signal == 0.0:
@@ -233,28 +235,26 @@ class ReportRow:
     extract_ms: float = None
     match_ms: float = None
 
-    def as_record(self, include_timing):
+    def as_record(self):
         fmt = lambda v: "" if v is None else f"{v:.6f}"
         return [self.suite, self.preprocessor, self.family, self.scheme,
                 str(self.p), f"{self.r:g}", self.snr,
                 f"{self.mean_accuracy:.6f}", fmt(self.std_accuracy),
-                str(self.feature_size),
-                fmt(self.extract_ms) if include_timing else "",
-                fmt(self.match_ms) if include_timing else ""]
+                str(self.feature_size), fmt(self.extract_ms),
+                fmt(self.match_ms)]
 
 
 @dataclass
 class ExperimentReport:
     rows: list
     failures: list = field(default_factory=list)
-    include_timing: bool = False
 
     def to_csv(self, path=None):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for row in self.rows:
-            writer.writerow(row.as_record(self.include_timing))
+            writer.writerow(row.as_record())
         text = buf.getvalue()
         if path is not None:
             with open(path, "w", newline="") as f:
@@ -312,8 +312,7 @@ def _run_splits(feats, labels, splits):
     for train, test in splits:
         sub = dist[np.ix_(np.searchsorted(rows, test),
                           np.searchsorted(cols, train))]
-        acc, _ = evaluate(feats[test], labels[test],
-                          ReferenceSet(feats[train], labels[train]), sub)
+        acc, _ = evaluate(sub, labels[test], labels[train])
         accs.append(acc)
     match_ms = (time.perf_counter() - t0) * 1000.0
     return accs, match_ms / sum(len(test) for _, test in splits)
@@ -325,8 +324,10 @@ def run_experiment(config, manifest=None, images=None):
     Clean accuracy is always reported; when a noise spec is present, one
     row per SNR level follows.  Noise is applied to test images only
     unless corrupt_train is set, and only the corrupted images are
-    extracted again.  A failing preprocessor row is recorded as a failure
-    and the remaining rows still run.
+    extracted again.  A preprocessor row that fails on bad input (OSError
+    or ValueError) is recorded as a failure and the remaining rows still
+    run; any other error propagates.  Clean rows carry timings only when
+    config.include_timing is set.
     """
     if manifest is None:
         manifest = load_manifest(config.manifest_path, suite=config.suite)
@@ -351,7 +352,8 @@ def run_experiment(config, manifest=None, images=None):
             feats, extract_ms = _extract_features(images, name, config)
             fsize = feats.shape[1]
             accs, match_ms = _run_splits(feats, labels, splits)
-            rows.append(row(name, "clean", accs, fsize, extract_ms, match_ms))
+            timing = (extract_ms, match_ms) if config.include_timing else ()
+            rows.append(row(name, "clean", accs, fsize, *timing))
             if config.noise is None:
                 continue
             for li, snr in enumerate(config.noise.snr_levels):
@@ -370,10 +372,9 @@ def run_experiment(config, manifest=None, images=None):
                     sub, _ = _run_splits(nfeats, labels, [(train, test)])
                     accs.extend(sub)
                 rows.append(row(name, f"{snr:g}", accs, fsize))
-        except Exception as exc:  # keep remaining rows running
+        except (OSError, ValueError) as exc:  # keep remaining rows running
             failures.append((name, f"{type(exc).__name__}: {exc}"))
-    return ExperimentReport(rows=rows, failures=failures,
-                            include_timing=config.include_timing)
+    return ExperimentReport(rows=rows, failures=failures)
 
 
 def sweep_bf_params(config, sigma1_values, sigma2_values, epsilon_values):
@@ -405,8 +406,7 @@ def sweep_bf_params(config, sigma1_values, sigma2_values, epsilon_values):
                 row.preprocessor = f"bf[{s1:g},{s2:g},{eps:g}]"
             rows.extend(sub.rows)
             failures.extend(sub.failures)
-    return ExperimentReport(rows=rows, failures=failures,
-                            include_timing=config.include_timing)
+    return ExperimentReport(rows=rows, failures=failures)
 
 
 # ---------------------------------------------------------------------------

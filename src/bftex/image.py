@@ -136,8 +136,8 @@ def check_finite(img):
 def gaussian_kernel_1d(sigma):
     """Read-only sampled 1-D Gaussian, radius ceil(3*sigma), normalized to
     unit sum; built once per sigma."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     radius = math.ceil(3.0 * sigma)
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     taps = np.exp(-(x * x) / (2.0 * sigma * sigma))

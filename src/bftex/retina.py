@@ -6,6 +6,7 @@ then split into non-negative ON and OFF maps with a small stability
 threshold epsilon that zeroes out near-uniform regions.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +27,12 @@ class BfParams:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if not 0 < self.sigma1 < self.sigma2:
-            raise ValueError(
-                f"require 0 < sigma1 < sigma2, got sigma1={self.sigma1}, "
-                f"sigma2={self.sigma2}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0 < self.sigma1 < self.sigma2 < math.inf:
+            raise ValueError(f"require 0 < sigma1 < sigma2 < inf, got "
+                             f"sigma1={self.sigma1}, sigma2={self.sigma2}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be in [0, inf), got "
+                             f"{self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,8 @@ def split_maps(response, epsilon):
     Exactly-zero responses go to neither map (relevant only for epsilon=0),
     so no pixel is ever counted on both sides.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be in [0, inf), got {epsilon}")
     response = np.asarray(response, dtype=np.float64)
     on = (response >= epsilon) & (response > 0)
     off = (response <= -epsilon) & (response < 0)

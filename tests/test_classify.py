@@ -220,27 +220,30 @@ class TestEvaluate:
         hists = rng.random((8, 5))
         labels = rng.integers(0, 3, size=8)
         refs = ReferenceSet(hists, labels)
-        acc, confusion = evaluate(hists, labels, refs)
+        acc, confusion = evaluate(chi2_matrix(hists, refs), labels,
+                                  refs.labels)
         assert acc == 1.0
         assert confusion.sum() == 8
 
     def test_zero_accuracy_achievable(self):
         refs = ReferenceSet(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 1])
         queries = np.array([[1.0, 0.0], [0.0, 1.0]])
-        acc, _ = evaluate(queries, [1, 0], refs)
+        acc, _ = evaluate(chi2_matrix(queries, refs), [1, 0], refs.labels)
         assert acc == 0.0
 
     def test_confusion_row_sums(self, rng):
         hists = rng.random((12, 6))
         labels = rng.integers(0, 3, size=12)
         refs = ReferenceSet(hists[:6], labels[:6])
-        acc, confusion = evaluate(hists[6:], labels[6:], refs)
+        acc, confusion = evaluate(chi2_matrix(hists[6:], refs), labels[6:],
+                                  refs.labels)
         for c in range(3):
             assert confusion[c].sum() == int(np.sum(labels[6:] == c))
 
     def test_unseen_query_label_is_countable(self, rng):
         refs = ReferenceSet(rng.random((2, 4)), [0, 1])
-        acc, confusion = evaluate(rng.random((1, 4)), [5], refs)
+        acc, confusion = evaluate(chi2_matrix(rng.random((1, 4)), refs), [5],
+                                  refs.labels)
         assert acc == 0.0
         assert confusion.shape == (6, 6)
 
@@ -248,7 +251,8 @@ class TestEvaluate:
         hists = rng.random((30, 8))
         labels = rng.integers(0, 4, size=30)
         refs = ReferenceSet(hists[:15], labels[:15])
-        acc, _ = evaluate(hists[15:], labels[15:], refs)
+        acc, _ = evaluate(chi2_matrix(hists[15:], refs), labels[15:],
+                          refs.labels)
         correct = 0
         for q, true in zip(hists[15:], labels[15:]):
             dists = [naive_chi2(q, h) for h in hists[:15]]
@@ -259,19 +263,23 @@ class TestEvaluate:
     def test_negative_query_label_rejected(self, rng):
         refs = ReferenceSet(rng.random((2, 4)), [0, 1])
         with pytest.raises(ValueError, match="-1"):
-            evaluate(rng.random((2, 4)), [0, -1], refs)
+            evaluate(chi2_matrix(rng.random((2, 4)), refs), [0, -1],
+                     refs.labels)
 
-    def test_non_finite_queries_rejected(self, rng):
-        refs = ReferenceSet(rng.random((2, 4)), [0, 1])
-        queries = rng.random((3, 4))
-        queries[2, 1] = np.nan
-        with pytest.raises(ValueError, match="query"):
-            evaluate(queries, [0, 1, 0], refs)
+    def test_negative_reference_label_rejected(self):
+        with pytest.raises(ValueError, match="reference labels .* -1"):
+            evaluate(np.zeros((1, 2)), [0], [-1, 0])
+        with pytest.raises(ValueError, match="reference labels .* -2"):
+            score(np.array([0]), [0], [0, -2])
 
     def test_label_count_must_match_queries(self, rng):
         refs = ReferenceSet(rng.random((2, 4)), [0, 1])
+        dist = chi2_matrix(rng.random((3, 4)), refs)
+        with pytest.raises(ValueError, match=r"\(3, 2\) does not match 2 "
+                                             "query labels x 2 reference"):
+            evaluate(dist, [0, 1], refs.labels)
         with pytest.raises(ValueError, match="2 query labels for 3"):
-            evaluate(rng.random((3, 4)), [0, 1], refs)
+            score(np.zeros(3, dtype=np.int64), [0, 1], refs.labels)
 
     def test_nearest_and_score_match_per_query_loop(self, rng):
         hists = rng.random((20, 6))
@@ -280,8 +288,9 @@ class TestEvaluate:
         predicted, dists = nearest(hists[10:], refs)
         for q, pred, dist in zip(hists[10:], predicted, dists):
             assert (pred, dist) == nn_classify(q, refs)
-        assert score(predicted, labels[10:], refs)[0] == \
-            evaluate(hists[10:], labels[10:], refs)[0]
+        assert score(predicted, labels[10:], refs.labels)[0] == \
+            evaluate(chi2_matrix(hists[10:], refs), labels[10:],
+                     refs.labels)[0]
 
     def test_nearest_over_many_query_blocks(self, rng, monkeypatch):
         monkeypatch.setattr(classify, "_BLOCK_CELLS", 16)  # 3 queries a block
@@ -294,14 +303,20 @@ class TestEvaluate:
             [nn_classify(q, refs) for q in hists[5:]]
         assert dists[7] == 0.0
 
-    def test_precomputed_distances(self, rng):
+    def test_equals_score_of_nearest(self, rng):
         hists = rng.random((12, 6))
-        labels = rng.integers(0, 3, size=12)
+        labels = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2])
+        # references 1 and 3 are equal but of classes 1 and 0, and so are
+        # queries 5 and 8 (class 2): the exact ties go to reference 1
+        hists[[3, 5, 8]] = hists[1]
         refs = ReferenceSet(hists[:5], labels[:5])
         dist = chi2_matrix(hists[5:], refs)
-        acc, confusion = evaluate(hists[5:], labels[5:], refs, dist)
-        want_acc, want_confusion = evaluate(hists[5:], labels[5:], refs)
+        assert dist[0, 1] == dist[0, 3] == dist[3, 1] == dist[3, 3] == 0.0
+        acc, confusion = evaluate(dist, labels[5:], refs.labels)
+        want_acc, want_confusion = score(nearest(hists[5:], refs)[0],
+                                         labels[5:], refs.labels)
         assert acc == want_acc
         assert np.array_equal(confusion, want_confusion)
+        assert confusion[2, 1] >= 2
         with pytest.raises(ValueError, match="does not match"):
-            evaluate(hists[5:], labels[5:], refs, dist[:, :4])
+            evaluate(dist[:, :4], labels[5:], refs.labels)

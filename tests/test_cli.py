@@ -141,6 +141,29 @@ class TestExtractClassify:
                         "--queries", str(queries)]) == 2
         assert "negative bins" in capsys.readouterr().err
 
+    def test_zero_bin_features_are_usage_error(self, tmp_path, capsys):
+        # every query would lie at distance 0 from the first reference
+        refs, queries = tmp_path / "refs.csv", tmp_path / "q.csv"
+        refs.write_text("a,0\nb,1\n")
+        queries.write_text("q,1\n")
+        assert run_cli(["classify", "--refs", str(refs),
+                        "--queries", str(queries)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least one bin" in captured.err
+
+    def test_short_row_is_usage_error(self, tmp_path, capsys):
+        refs = tmp_path / "refs.csv"
+        refs.write_text("a,0,0.5,0.5\n\nb\n")
+        assert run_cli(["classify", "--refs", str(refs),
+                        "--queries", str(refs)]) == 2
+        assert f"{refs}:3: expected" in capsys.readouterr().err
+
+    def test_infinite_radius_is_usage_error(self, sample_image, capsys):
+        assert run_cli(["extract", "--input", str(sample_image),
+                        "--r", "inf"]) == 2
+        assert "radius r must be in (0, inf)" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_end_to_end_and_determinism(self, tmp_path, capsys):
@@ -169,6 +192,17 @@ class TestExperimentCommand:
         cfg.write_text("manifest = m.txt\nn_trian = 5\n")
         assert run_cli(["experiment", "--config", str(cfg)]) == 2
         assert "unknown key 'n_trian'" in capsys.readouterr().err
+
+    def test_non_finite_value_is_usage_error(self, tmp_path, capsys):
+        manifest = generate_suite(tmp_path / "suite", n_classes=2,
+                                  per_class=3, size=24, seed=0)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"manifest = {manifest}\nn_train = 1\n"
+                       "epsilon = nan\n")
+        assert run_cli(["experiment", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "epsilon must be in [0, inf), got nan" in captured.err
 
     def test_missing_manifest_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

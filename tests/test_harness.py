@@ -1,3 +1,5 @@
+import csv
+import math
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -7,17 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bftex import descriptors, harness
-from bftex.classify import ReferenceSet, chi2, evaluate
-from bftex.descriptors import DescriptorConfig, feature_size
-from bftex.harness import (ConfigError, ExperimentConfig, ExperimentReport,
-                           Manifest, ManifestError, NoiseSpec, SplitPolicy,
-                           add_gaussian_noise, apply_preprocessor,
-                           build_experiment_config,
+from bftex import baselines, descriptors, harness
+from bftex.classify import ReferenceSet, chi2, chi2_matrix, evaluate
+from bftex.descriptors import (DescriptorConfig, NeighborhoodSpec,
+                               feature_size, ltp_histogram)
+from bftex.harness import (REPORT_COLUMNS, ConfigError, ExperimentConfig,
+                           ExperimentReport, Manifest, ManifestError,
+                           NoiseSpec, SplitPolicy, add_gaussian_noise,
+                           apply_preprocessor, build_experiment_config,
                            load_manifest, make_splits, parse_config_file,
                            run_experiment, sweep_bf_params)
-from bftex.image import load_image
-from bftex.retina import BfParams
+from bftex.image import gaussian_kernel_1d, load_image
+from bftex.retina import BfParams, split_maps
 from bftex.synthetic import generate_suite
 
 
@@ -190,10 +193,26 @@ def reference_noise_rows(config):
                     apply_preprocessor(img, name, config),
                     config.descriptor) for img in noisy])
                 refs = ReferenceSet(feats[train], labels[train])
-                accs.append(evaluate(feats[test], labels[test], refs)[0])
+                accs.append(evaluate(chi2_matrix(feats[test], refs),
+                                     labels[test], refs.labels)[0])
             rows[(name, f"{snr:g}")] = (float(np.mean(accs)),
                                         float(np.std(accs, ddof=1)))
     return rows
+
+
+def split_features(rng, mode):
+    """(features, labels, splits) of 40 samples in 4 classes, with exact
+    cross-class ties: disjoint halves for "predefined", else 5 random
+    splits of 4 training samples a class."""
+    labels = np.repeat(np.arange(4), 10)
+    feats = rng.random((40, 30))
+    feats[[7, 12, 25]] = feats[2]  # ties across classes
+    feats[[9, 31]] = 0.0
+    if mode == "predefined":  # disjoint train and test sets
+        return feats, labels, [(list(range(0, 40, 2)), list(range(1, 40, 2)))]
+    manifest = Manifest([(f"{i}.pgm", lab) for i, lab in enumerate(labels)])
+    return feats, labels, make_splits(manifest, SplitPolicy(n_train=4,
+                                                            repeats=5, seed=3))
 
 
 def scan_accuracies(feats, labels, splits):
@@ -297,17 +316,7 @@ class TestRunExperiment:
                                            ("predefined", "chi2_matrix")])
     def test_run_splits_equals_per_split_evaluate(self, rng, monkeypatch,
                                                   mode, path):
-        labels = np.repeat(np.arange(4), 10)
-        feats = rng.random((40, 30))
-        feats[[7, 12, 25]] = feats[2]  # ties across classes
-        feats[[9, 31]] = 0.0
-        if mode == "predefined":  # disjoint train and test sets
-            splits = [(list(range(0, 40, 2)), list(range(1, 40, 2)))]
-        else:
-            manifest = Manifest([(f"{i}.pgm", lab)
-                                 for i, lab in enumerate(labels)])
-            splits = make_splits(manifest, SplitPolicy(n_train=4, repeats=5,
-                                                       seed=3))
+        feats, labels, splits = split_features(rng, mode)
         calls = []
 
         def spy(name):
@@ -321,9 +330,55 @@ class TestRunExperiment:
         spy("chi2_matrix")
         accs, _ = harness._run_splits(feats, labels, splits)
         assert calls == [path]
-        assert accs == [evaluate(feats[test], labels[test],
-                                 ReferenceSet(feats[train], labels[train]))[0]
-                        for train, test in splits]
+        want = []
+        for train, test in splits:
+            refs = ReferenceSet(feats[train], labels[train])
+            want.append(evaluate(chi2_matrix(feats[test], refs), labels[test],
+                                 refs.labels)[0])
+        assert accs == want
+
+    @pytest.mark.parametrize("mode", ["random", "predefined"])
+    def test_run_splits_builds_one_reference_set(self, rng, monkeypatch,
+                                                 mode):
+        # the row's features are checked once, not once per split
+        feats, labels, splits = split_features(rng, mode)
+        built = []
+
+        class Spy(ReferenceSet):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(harness, "ReferenceSet", Spy)
+        harness._run_splits(feats, labels, splits)
+        assert len(built) <= 1
+
+    def test_timing_columns_only_when_asked(self, small_suite):
+        config = small_config(small_suite, noise=NoiseSpec(
+            snr_levels=(5.0,), repeats=2, seed=4))
+        off, on = (list(csv.reader(run_experiment(
+            replace(config, include_timing=flag)).to_csv().splitlines()))
+            for flag in (False, True))
+        timing = [REPORT_COLUMNS.index("extract_ms"),
+                  REPORT_COLUMNS.index("match_ms")]
+        rest = lambda rec: [v for i, v in enumerate(rec) if i not in timing]
+        assert len(on) == len(off) == 1 + 2 * 2  # bf and none, clean and 5
+        assert [rest(rec) for rec in on] == [rest(rec) for rec in off]
+        for off_rec, on_rec in zip(off[1:], on[1:]):
+            assert [off_rec[i] for i in timing] == ["", ""]
+            if on_rec[REPORT_COLUMNS.index("snr")] == "clean":
+                assert all(float(on_rec[i]) >= 0 for i in timing)
+            else:
+                assert [on_rec[i] for i in timing] == ["", ""]
+
+    def test_programming_error_propagates(self, small_suite, monkeypatch):
+        # only bad input (OSError, ValueError) becomes a failure row
+        def broken(img, name, config):
+            raise TypeError("broken preprocessor")
+
+        monkeypatch.setattr(harness, "apply_preprocessor", broken)
+        with pytest.raises(TypeError, match="broken preprocessor"):
+            run_experiment(small_config(small_suite))
 
     def test_non_finite_image_is_a_failure_row(self, small_suite):
         manifest = load_manifest(small_suite)
@@ -456,6 +511,28 @@ class TestSweep:
                     failures.extend(sub.failures)
         assert report.failures == failures
         assert report.to_csv() == ExperimentReport(rows, failures).to_csv()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("build,field", [
+    (lambda v: BfParams(epsilon=v), "epsilon"),
+    (lambda v: BfParams(sigma2=v), "sigma2"),
+    (lambda v: DescriptorConfig(ltp_t=v), "ltp_t"),
+    (lambda v: DescriptorConfig(r=v), "radius r"),
+    (lambda v: NoiseSpec(snr_levels=(5.0, v)), "snr_levels"),
+    (lambda v: split_maps(np.zeros((4, 4)), v), "epsilon"),
+    (lambda v: ltp_histogram(np.zeros((8, 8)), NeighborhoodSpec(), v),
+     "ltp_t"),
+    (lambda v: add_gaussian_noise(np.eye(4), v, harness._rng(0)), "snr"),
+    (lambda v: gaussian_kernel_1d(v), "sigma"),
+    (lambda v: baselines.gamma_correct(np.eye(2), v), "gamma"),
+], ids=["epsilon", "sigma2", "ltp_t", "r", "snr_levels", "split_maps",
+        "ltp_histogram", "add_gaussian_noise", "gaussian_kernel_1d",
+        "gamma_correct"])
+def test_non_finite_parameter_rejected(build, field, bad):
+    # NaN fails every comparison, so each check must be written to fail it
+    with pytest.raises(ValueError, match=field):
+        build(bad)
 
 
 class TestConfigFiles:
