@@ -1,7 +1,8 @@
 """Comparison preprocessors: gamma correction, plain DoG, Gaussian derivatives.
 
 These are the alternatives the experiment harness pits against the ON/OFF
-band-pass preprocessing.  Each is a pure function of the input raster.
+band-pass preprocessing.  Each is a pure function of the input raster, and
+of each image alone when given a stack whose last two axes are the image.
 """
 
 import numpy as np

@@ -76,17 +76,29 @@ def cmd_extract(args):
 
 
 def _read_feature_csv(path):
+    """(ids, labels, features) of a feature CSV; a malformed row raises a
+    ValueError naming its file and line."""
     ids, labels, feats = [], [], []
     with open(path, newline="") as f:
         for lineno, row in enumerate(csv.reader(f), start=1):
             if not row:
                 continue
+            where = f"{path}:{lineno}"
             if len(row) < 2:
-                raise ValueError(f"{path}:{lineno}: expected "
-                                 "'<id>,<label>,<bin>,...'")
+                raise ValueError(f"{where}: expected '<id>,<label>,<bin>,...'")
+            if feats and len(row) != len(feats[0]) + 2:
+                raise ValueError(f"{where}: {len(row)} fields, but the first "
+                                 f"row has {len(feats[0]) + 2}")
+            try:
+                labels.append(int(row[1]))
+            except ValueError:
+                raise ValueError(f"{where}: non-integer label "
+                                 f"{row[1]!r}") from None
+            try:
+                feats.append([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise ValueError(f"{where}: non-numeric bin ({exc})") from None
             ids.append(row[0])
-            labels.append(int(row[1]))
-            feats.append([float(v) for v in row[2:]])
     return ids, np.asarray(labels), np.asarray(feats)
 
 

@@ -6,6 +6,11 @@ off-grid samples bilinearly interpolated.  Histograms are normalized to
 unit sum.  When extraction runs on an ON/OFF map pair, the two map
 histograms are concatenated and jointly renormalized, doubling the
 feature size.
+
+Every function takes one image or a stack whose last two axes are the
+image, and encodes each image of a stack alone: per-image results gain
+the stack's leading axes, so a histogram of an (N, H, W) stack is an
+(N, bins) array.
 """
 
 import math
@@ -106,17 +111,16 @@ def neighbor_offsets(spec):
     Near-integer offsets are snapped so exact grid hits skip interpolation."""
     k = np.arange(spec.p)
     theta = 2.0 * np.pi * k / spec.p
-    dr = -spec.r * np.sin(theta)
-    dc = spec.r * np.cos(theta)
-    dr[np.abs(dr - np.rint(dr)) < 1e-9] = np.rint(dr[np.abs(dr - np.rint(dr)) < 1e-9])
-    dc[np.abs(dc - np.rint(dc)) < 1e-9] = np.rint(dc[np.abs(dc - np.rint(dc)) < 1e-9])
-    offsets = np.stack([dr, dc], axis=1)
+    offsets = np.stack([-spec.r * np.sin(theta), spec.r * np.cos(theta)],
+                       axis=1)
+    snapped = np.rint(offsets)
+    offsets = np.where(np.abs(offsets - snapped) < 1e-9, snapped, offsets)
     offsets.setflags(write=False)
     return offsets
 
 
 def _check_size(img, spec):
-    h, w = img.shape
+    h, w = img.shape[-2:]
     need = 2 * spec.margin + 1
     if h < need or w < need:
         raise ValueError(f"image {w}x{h} too small for R={spec.r} "
@@ -124,34 +128,43 @@ def _check_size(img, spec):
 
 
 def _shifted(img, m, dr, dc):
-    """Interior window of img shifted by integer (dr, dc)."""
-    h, w = img.shape
-    return img[m + dr:h - m + dr, m + dc:w - m + dc]
+    """Interior window of each image shifted by integer (dr, dc)."""
+    h, w = img.shape[-2:]
+    return img[..., m + dr:h - m + dr, m + dc:w - m + dc]
 
 
 def neighbor_stack(img, spec):
-    """(P, H-2m, W-2m) array of neighbor samples for every interior pixel."""
+    """(..., P, H-2m, W-2m) array of neighbor samples for every interior
+    pixel, image-major: the P samples of one image are contiguous."""
     img = np.asarray(img, dtype=np.float64)
     _check_size(img, spec)
     m = spec.margin
-    out = np.empty((spec.p, img.shape[0] - 2 * m, img.shape[1] - 2 * m))
+    h, w = img.shape[-2:]
+    out = np.empty(img.shape[:-2] + (spec.p, h - 2 * m, w - 2 * m))
     for k, (dr, dc) in enumerate(neighbor_offsets(spec)):
         r0, c0 = math.floor(dr), math.floor(dc)
         fr, fc = dr - r0, dc - c0
+        plane = out[..., k, :, :]
         if fr == 0.0 and fc == 0.0:
-            out[k] = _shifted(img, m, r0, c0)
+            plane[...] = _shifted(img, m, r0, c0)
         else:  # accumulated in place, in the order of the written-out sum
             np.multiply((1 - fr) * (1 - fc), _shifted(img, m, r0, c0),
-                        out=out[k])
-            out[k] += (1 - fr) * fc * _shifted(img, m, r0, c0 + 1)
-            out[k] += fr * (1 - fc) * _shifted(img, m, r0 + 1, c0)
-            out[k] += fr * fc * _shifted(img, m, r0 + 1, c0 + 1)
+                        out=plane)
+            plane += (1 - fr) * fc * _shifted(img, m, r0, c0 + 1)
+            plane += fr * (1 - fc) * _shifted(img, m, r0 + 1, c0)
+            plane += fr * fc * _shifted(img, m, r0 + 1, c0 + 1)
     return out
 
 
 def interior(img, spec):
     m = spec.margin
-    return np.asarray(img, dtype=np.float64)[m:-m, m:-m]
+    return np.asarray(img, dtype=np.float64)[..., m:-m, m:-m]
+
+
+def _planes_first(bits):
+    """A (..., P, h, w) neighbour bit stack as the (P, ...) stack that the
+    labellers take."""
+    return np.moveaxis(bits, -3, 0)
 
 
 def riu2_from_bits(bits):
@@ -167,8 +180,8 @@ def riu2_from_bits(bits):
     if p > MAX_P:
         raise ValueError(f"P={p} exceeds the maximum of {MAX_P} neighbors")
     weights = np.left_shift(1, np.arange(p, dtype=np.uint32), dtype=np.uint32)
-    weights = weights.reshape((p,) + (1,) * (bits.ndim - 1))
-    codes = (bits * weights).sum(axis=0, dtype=np.uint32)
+    # packed without a (P, ...) product array; integer sums are exact
+    codes = np.einsum("k...,k->...", bits, weights, dtype=np.uint32)
     rotated = ((codes << 1) | (codes >> (p - 1))) & np.uint32((1 << p) - 1)
     labels = np.bitwise_count(codes).astype(np.int32)
     np.putmask(labels, np.bitwise_count(codes ^ rotated) > 2, p + 1)
@@ -205,15 +218,19 @@ def _codes(img, spec, scheme, label):
     intensity.  `label` turns a (P, ...) bit stack into per-pixel labels.
     """
     planes = {plane for part in _parts(scheme) for plane in part}
-    stack = neighbor_stack(img, spec)
+    diffs = neighbor_stack(img, spec)
     center = interior(img, spec)
-    diffs = stack - center
-    s = label(diffs >= 0) if "S" in planes else None
+    diffs -= center[..., None, :, :]  # in the stack's memory
+    s = label(_planes_first(diffs >= 0)) if "S" in planes else None
     m = None
     if "M" in planes:
-        mags = np.abs(diffs)
-        m = label(mags >= mags.mean())
-    c = (center >= center.mean()).astype(np.int32) if "C" in planes else None
+        mags = np.abs(diffs, out=diffs)
+        # image-major, so each image's mean sums its own contiguous cells
+        # in the order a single image's mean does
+        m = label(_planes_first(
+            mags >= mags.mean(axis=(-3, -2, -1), keepdims=True)))
+    c = ((center >= center.mean(axis=(-2, -1), keepdims=True))
+         .astype(np.int32) if "C" in planes else None)
     return s, m, c
 
 
@@ -234,12 +251,20 @@ def clbc_codes(img, spec, scheme="S/M/C"):
 
 
 def _hist(labels, nbins):
-    return np.bincount(labels.ravel(), minlength=nbins).astype(np.float64)
+    """Per-image label counts: (..., h, w) labels in [0, nbins) give
+    (..., nbins) float64 counts, from one bincount over the stack."""
+    lead = labels.shape[:-2]
+    n = math.prod(lead)
+    index = labels.reshape(n, -1) + (np.arange(n) * nbins)[:, None]
+    counts = np.bincount(index.ravel(), minlength=n * nbins)
+    return counts.astype(np.float64).reshape(lead + (nbins,))
 
 
 def _normalized(bins):
-    total = bins.sum()
-    return bins / total if total > 0 else bins
+    """Each histogram (last axis) divided by its own sum; an all-zero
+    histogram stays zero."""
+    total = bins.sum(axis=-1, keepdims=True)
+    return bins / np.where(total > 0, total, 1.0)
 
 
 def build_histogram(s, m, c, scheme, nbins_per_code):
@@ -260,7 +285,7 @@ def build_histogram(s, m, c, scheme, nbins_per_code):
             index = index + size * codes[plane]
             size *= _plane_bins(plane, b)
         hists.append(_hist(index, size))
-    return _normalized(np.concatenate(hists))
+    return _normalized(np.concatenate(hists, axis=-1))
 
 
 def ltp_histogram(img, spec, t=DEFAULT_LTP_T):
@@ -269,11 +294,12 @@ def ltp_histogram(img, spec, t=DEFAULT_LTP_T):
     if not 0 <= t < math.inf:
         raise ValueError(f"ltp_t must be in [0, inf), got {t}")
     stack = neighbor_stack(img, spec)
-    center = interior(img, spec)
-    upper = riu2_from_bits(stack >= center + t)
-    lower = riu2_from_bits(stack <= center - t)
+    center = interior(img, spec)[..., None, :, :]
+    upper = riu2_from_bits(_planes_first(stack >= center + t))
+    lower = riu2_from_bits(_planes_first(stack <= center - t))
     b = spec.p + 2
-    return _normalized(np.concatenate([_hist(upper, b), _hist(lower, b)]))
+    return _normalized(np.concatenate([_hist(upper, b), _hist(lower, b)],
+                                      axis=-1))
 
 
 def wld_histogram(img):
@@ -309,7 +335,7 @@ def wld_histogram(img):
 
 
 def _histogram(img, config):
-    """Normalized histogram of one image under the configured descriptor."""
+    """Normalized histogram of each image under the configured descriptor."""
     if config.family == "ltp":
         return ltp_histogram(img, config.spec, config.ltp_t)
     if config.family == "wld":
@@ -332,7 +358,8 @@ def feature_size(config, on_maps=False):
 
 def extract(source, config):
     """Extract the configured descriptor from an image or an ON/OFF map pair
-    as a normalized 1-D float64 histogram.
+    as a normalized 1-D float64 histogram; a stack of N images or map pairs
+    gives an (N, bins) array, row i being image i's histogram.
 
     For a map pair, each map is encoded as an ordinary image (its own
     thresholds) and the two histograms are concatenated and jointly
@@ -340,6 +367,7 @@ def extract(source, config):
     """
     if isinstance(source, BfMaps):
         return _normalized(np.concatenate([_histogram(source.plus, config),
-                                           _histogram(source.minus, config)]))
+                                           _histogram(source.minus, config)],
+                                          axis=-1))
     check_finite(source)
     return _histogram(source, config)

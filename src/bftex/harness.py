@@ -10,6 +10,7 @@ generators so reports are byte-reproducible.
 
 import csv
 import io
+import itertools
 import math
 import os
 import re
@@ -21,8 +22,13 @@ import numpy as np
 
 from . import baselines, descriptors
 from .classify import ReferenceSet, _chi2_triangle, chi2_matrix, evaluate
-from .image import load_image
+from .image import NonFiniteImageError, load_image
 from .retina import BfParams, bf_preprocess
+
+# Float64 cells in one block's neighbour stack (2 MB): images go through
+# preprocessing and description a block at a time, which spreads each
+# numpy call's overhead over the block without a large working set.
+_BLOCK_CELLS = 1 << 18
 
 REPORT_COLUMNS = ("suite", "preprocessor", "family", "scheme", "P", "R",
                   "snr", "mean_accuracy", "std_accuracy", "feature_size",
@@ -201,10 +207,15 @@ class ExperimentConfig:
         unknown = set(self.preprocessors) - set(baselines.BASELINE_NAMES)
         if unknown:
             raise ConfigError(f"unknown preprocessors: {sorted(unknown)}")
+        for name in ("gamma", "deriv_sigma"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be in (0, inf), got {value}")
 
 
 def apply_preprocessor(img, name, config):
-    """Run the named preprocessor; 'bf' yields an ON/OFF map pair."""
+    """Run the named preprocessor on an image or a stack of them; 'bf'
+    yields an ON/OFF map pair."""
     if name == "none":
         return img
     if name == "bf":
@@ -262,15 +273,37 @@ class ExperimentReport:
         return text
 
 
-def _extract_features(images, name, config):
-    """Per-image descriptor histograms after preprocessing; returns
-    (feature matrix, mean per-image extraction ms)."""
+def _blocks(images, spec):
+    """(start, stop) ranges of consecutive same-shape images whose
+    neighbour stack under ``spec`` holds at most _BLOCK_CELLS cells (one
+    image at least)."""
+    start, m = 0, spec.margin
+    for (h, w), group in itertools.groupby(np.shape(img) for img in images):
+        stop = start + sum(1 for _ in group)
+        cells = spec.p * max(h - 2 * m, 1) * max(w - 2 * m, 1)
+        step = max(1, _BLOCK_CELLS // cells)
+        for lo in range(start, stop, step):
+            yield lo, min(lo + step, stop)
+        start = stop
+
+
+def _extract_features(images, paths, name, config):
+    """Descriptor histograms of the images after preprocessing, extracted a
+    block at a time (see _blocks); returns (feature matrix, mean per-image
+    extraction ms).  An image with a NaN or infinite pixel is named by its
+    path."""
     feats, t0 = [], time.perf_counter()
-    for img in images:
-        feats.append(descriptors.extract(
-            apply_preprocessor(img, name, config), config.descriptor))
+    for lo, hi in _blocks(images, config.descriptor.spec):
+        try:
+            feats.append(descriptors.extract(
+                apply_preprocessor(np.stack(images[lo:hi]), name, config),
+                config.descriptor))
+        except NonFiniteImageError as exc:
+            raise NonFiniteImageError(
+                f"{paths[lo + exc.index]}: image has NaN or infinite "
+                f"pixels") from None
     ms = (time.perf_counter() - t0) * 1000.0 / max(len(images), 1)
-    return np.asarray(feats), ms
+    return np.concatenate(feats), ms
 
 
 def _split_distances(feats, labels, splits):
@@ -334,6 +367,7 @@ def run_experiment(config, manifest=None, images=None):
     suite = config.suite or manifest.suite
     if images is None:
         images = [load_image(p) for p, _ in manifest.samples]
+    paths = [path for path, _ in manifest.samples]
     labels = np.asarray([lab for _, lab in manifest.samples], dtype=np.int64)
     splits = make_splits(manifest, config.split)
     desc = config.descriptor
@@ -349,7 +383,8 @@ def run_experiment(config, manifest=None, images=None):
     rows, failures = [], []
     for name in config.preprocessors:
         try:
-            feats, extract_ms = _extract_features(images, name, config)
+            feats, extract_ms = _extract_features(images, paths, name,
+                                                  config)
             fsize = feats.shape[1]
             accs, match_ms = _run_splits(feats, labels, splits)
             timing = (extract_ms, match_ms) if config.include_timing else ()
@@ -367,8 +402,8 @@ def run_experiment(config, manifest=None, images=None):
                     noisy = [add_gaussian_noise(images[i], snr, rng)
                              for i in corrupted]
                     nfeats = feats.copy()
-                    nfeats[corrupted], _ = _extract_features(noisy, name,
-                                                             config)
+                    nfeats[corrupted], _ = _extract_features(
+                        noisy, [paths[i] for i in corrupted], name, config)
                     sub, _ = _run_splits(nfeats, labels, [(train, test)])
                     accs.extend(sub)
                 rows.append(row(name, f"{snr:g}", accs, fsize))

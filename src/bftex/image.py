@@ -1,8 +1,10 @@
 """Grayscale raster I/O and convolution primitives.
 
 Images are plain 2-D float64 numpy arrays in row-major order, intensities
-nominally in [0, 1] after loading.  Binary PGM (P5) is the native format;
-PNG decoding is available when Pillow is installed.
+nominally in [0, 1] after loading.  A stack of same-size images is one
+array whose last two axes are the image; the filters here work on each
+image of a stack alone.  Binary PGM (P5) is the native format; PNG
+decoding is available when Pillow is installed.
 """
 
 import csv
@@ -24,6 +26,14 @@ class ImageFormatError(ValueError):
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+class NonFiniteImageError(ValueError):
+    """Image with a NaN or infinite pixel."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index  # position of the image in its stack, if any
 
 
 def _read_pgm_token(buf, pos):
@@ -127,9 +137,19 @@ def save_csv_matrix(img, path):
 
 
 def check_finite(img):
-    """Raise ValueError when the image has a NaN or infinite pixel."""
-    if not np.isfinite(img).all():
-        raise ValueError("image has NaN or infinite pixels")
+    """Raise NonFiniteImageError when an image has a NaN or infinite pixel.
+
+    On a stack the error's ``index`` is the first such image's position
+    along the flattened leading axes.
+    """
+    finite = np.isfinite(img).all(axis=(-2, -1))
+    if finite.all():
+        return
+    if finite.ndim == 0:
+        raise NonFiniteImageError("image has NaN or infinite pixels")
+    index = int(np.argmin(finite.ravel()))
+    raise NonFiniteImageError(
+        f"image {index} of the stack has NaN or infinite pixels", index)
 
 
 @lru_cache(maxsize=None)
@@ -167,19 +187,21 @@ def gaussian_derivative_kernel_1d(sigma, order):
 
 
 def convolve_separable(img, kernel_row=None, kernel_col=None):
-    """Separable correlation with clamp-to-edge borders.
+    """Separable correlation with clamp-to-edge borders over the last two
+    axes, so each image of a stack is filtered alone.
 
-    With one kernel given, it is applied along both axes (the usual
-    isotropic Gaussian case).  Kernels here are symmetric or are built for
-    correlation semantics, so no flipping is performed.
+    kernel_col runs down the columns (axis -2), kernel_row along the rows
+    (axis -1).  With one kernel given, it is applied along both axes (the
+    usual isotropic Gaussian case).  Kernels here are symmetric or are
+    built for correlation semantics, so no flipping is performed.
     """
     img = np.asarray(img, dtype=np.float64)
     if kernel_col is None:
         kernel_col = kernel_row
     if kernel_row is None:
         kernel_row = kernel_col
-    out = convolve1d(img, kernel_col[::-1], axis=0, mode="nearest")
-    return convolve1d(out, kernel_row[::-1], axis=1, mode="nearest")
+    out = convolve1d(img, kernel_col[::-1], axis=-2, mode="nearest")
+    return convolve1d(out, kernel_row[::-1], axis=-1, mode="nearest")
 
 
 def gaussian_blur(img, sigma):

@@ -3,7 +3,8 @@
 A difference-of-Gaussians filter (two unit-mass separable blurs with
 sigma1 < sigma2) models the bipolar-cell response; the signed response is
 then split into non-negative ON and OFF maps with a small stability
-threshold epsilon that zeroes out near-uniform regions.
+threshold epsilon that zeroes out near-uniform regions.  Every function
+takes one image or a stack whose last two axes are the image.
 """
 
 import math
@@ -37,7 +38,8 @@ class BfParams:
 
 @dataclass(frozen=True)
 class BfMaps:
-    """ON/OFF response pair plus the raw signed band-pass response.
+    """ON/OFF response pair plus the raw signed band-pass response, each an
+    image or a stack of them.
 
     plus and minus are everywhere >= 0 with pointwise disjoint support;
     plus - minus reconstructs raw wherever |raw| clears the threshold.
@@ -52,8 +54,9 @@ def dog_filter(img, params):
     """Band-pass the image: blur at sigma1 minus blur at sigma2.
 
     Both blurs use unit-normalized kernels, so the response to a constant
-    image is exactly zero (DC cancels by construction).  An image with a
-    NaN or infinite pixel is rejected.
+    image is exactly zero (DC cancels by construction).  Each image of a
+    stack is filtered alone.  An image with a NaN or infinite pixel is
+    rejected (see check_finite).
     """
     img = np.asarray(img, dtype=np.float64)
     check_finite(img)

@@ -159,6 +159,21 @@ class TestExtractClassify:
                         "--queries", str(refs)]) == 2
         assert f"{refs}:3: expected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("refs_text,message", [
+        ("a,0,0.5,0.5\nb,x,0.5,0.5\n", ":2: non-integer label 'x'"),
+        ("a,0,0.5,0.5\n\nb,1,0.5,half\n", ":3: non-numeric bin"),
+        ("a,0,0.5,0.5\nb,1,0.5\n", ":2: 3 fields, but the first row has 4"),
+        ("a,0,0.5,0.5\nb,1,0.5,0.25,0.25\n",
+         ":2: 5 fields, but the first row has 4"),
+    ], ids=["label", "bin", "short", "long"])
+    def test_bad_feature_row_names_file_and_line(self, tmp_path, capsys,
+                                                 refs_text, message):
+        refs = tmp_path / "refs.csv"
+        refs.write_text(refs_text)
+        assert run_cli(["classify", "--refs", str(refs),
+                        "--queries", str(refs)]) == 2
+        assert f"error: {refs}{message}" in capsys.readouterr().err
+
     def test_infinite_radius_is_usage_error(self, sample_image, capsys):
         assert run_cli(["extract", "--input", str(sample_image),
                         "--r", "inf"]) == 2
@@ -203,6 +218,23 @@ class TestExperimentCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "epsilon must be in [0, inf), got nan" in captured.err
+
+    @pytest.mark.parametrize("setting,message", [
+        ("gamma = nan", "gamma must be in (0, inf), got nan"),
+        ("preprocessor = gderiv1\nderiv_sigma = inf",
+         "deriv_sigma must be in (0, inf), got inf"),
+    ])
+    def test_gamma_and_deriv_sigma_checked_when_built(self, tmp_path, capsys,
+                                                      setting, message):
+        # rejected with the config, not as a failure row of every run
+        manifest = generate_suite(tmp_path / "suite", n_classes=2,
+                                  per_class=3, size=24, seed=0)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"manifest = {manifest}\nn_train = 1\n{setting}\n")
+        assert run_cli(["experiment", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
 
     def test_missing_manifest_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

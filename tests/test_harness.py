@@ -431,18 +431,23 @@ class TestRunExperiment:
 
     def test_noise_rows_extract_only_corrupted_images(self, small_suite,
                                                       monkeypatch):
-        calls = []
+        extracted = []  # images per extract call, which takes a block
         real = descriptors.extract
-        monkeypatch.setattr(descriptors, "extract",
-                            lambda *a: calls.append(1) or real(*a))
+
+        def counting(source, config):
+            hists = real(source, config)
+            extracted.append(len(hists))
+            return hists
+
+        monkeypatch.setattr(descriptors, "extract", counting)
         for corrupt_train, per_repeat in ((False, 12), (True, 24)):
-            calls.clear()
+            extracted.clear()
             run_experiment(small_config(
                 small_suite, preprocessors=("none",),
                 noise=NoiseSpec(snr_levels=(5.0,), repeats=3, seed=2),
                 corrupt_train=corrupt_train))
             # 24 clean images, then 3 repeats of the corrupted ones
-            assert len(calls) == 24 + 3 * per_repeat
+            assert sum(extracted) == 24 + 3 * per_repeat
 
     def test_deterministic_report_bytes(self, small_suite):
         config = small_config(small_suite,
@@ -465,6 +470,65 @@ class TestRunExperiment:
     def test_unknown_preprocessor_rejected(self, small_suite):
         with pytest.raises(ConfigError):
             small_config(small_suite, preprocessors=("nope",))
+
+
+BLOCK_DESCRIPTORS = {
+    "lbp": DescriptorConfig(family="lbp", p=8, r=1.0),
+    "clbp": DescriptorConfig(family="clbp", scheme="S/M/C", p=16, r=2.0),
+    "clbc": DescriptorConfig(family="clbc", scheme="S_M/C", p=8, r=1.5),
+    "ltp": DescriptorConfig(family="ltp", p=8, r=1.0),
+    "wld": DescriptorConfig(family="wld"),
+}
+
+
+class TestBlockExtraction:
+    """Extracting a block at a time gives every image the histogram that
+    extract gives it alone."""
+
+    @pytest.mark.parametrize("preprocessor",
+                             ["none", "bf", "dog", "gamma", "gderiv1"])
+    @pytest.mark.parametrize("family", sorted(BLOCK_DESCRIPTORS))
+    def test_equals_per_image_extract(self, rng, monkeypatch, family,
+                                      preprocessor):
+        config = ExperimentConfig(manifest_path="unused",
+                                  descriptor=BLOCK_DESCRIPTORS[family],
+                                  bf_params=BfParams(1.0, 2.0, 0.02))
+        spec = config.descriptor.spec
+        shapes = [(14, 13)] * 7 + [(11, 16)] * 2 + [(14, 13)]
+        images = [rng.random(shape) for shape in shapes]
+        images[3] = np.full((14, 13), 0.25)  # flat: an all-zero DoG
+        m = spec.margin
+        per_image = spec.p * (14 - 2 * m) * (13 - 2 * m)
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", 3 * per_image)
+        blocks = list(harness._blocks(images, spec))
+        # full blocks, a partial last block, a block ending at a size
+        # change, and a block of one
+        assert blocks[:3] == [(0, 3), (3, 6), (6, 7)]
+        assert blocks[-1] == (9, 10) and blocks[-2][0] == 7
+        for subset in (images, images[4:5]):
+            feats, _ = harness._extract_features(
+                subset, [f"img{i}" for i in range(len(subset))],
+                preprocessor, config)
+            want = np.stack([
+                descriptors.extract(apply_preprocessor(img, preprocessor,
+                                                       config),
+                                    config.descriptor) for img in subset])
+            assert np.array_equal(feats, want)
+
+    def test_failure_row_names_the_bad_image(self, small_suite):
+        manifest = load_manifest(small_suite)
+        images = [load_image(p) for p, _ in manifest.samples]
+        # 48x48 images at P=8, R=1 go 16 to a block: image 19 is the
+        # fourth of the second block
+        assert list(harness._blocks(images, NeighborhoodSpec(8, 1.0))) == \
+            [(0, 16), (16, 24)]
+        images[19] = images[19].copy()
+        images[19][0, 1] = np.inf
+        report = run_experiment(small_config(small_suite), manifest=manifest,
+                                images=images)
+        bad = manifest.samples[19][0]
+        assert [msg for _, msg in report.failures] == \
+            [f"NonFiniteImageError: {bad}: image has NaN or infinite pixels"] * 2
 
 
 class TestSweep:

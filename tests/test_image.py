@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bftex.image import (ImageFormatError, convolve_separable,
+from bftex.image import (ImageFormatError, NonFiniteImageError,
+                         check_finite, convolve_separable,
                          gaussian_derivative_kernel_1d, gaussian_kernel_1d,
                          load_image, load_pgm, save_csv_matrix, save_pgm)
 
@@ -196,3 +197,39 @@ class TestConvolveSeparable:
     def test_degenerate_1x1(self):
         out = convolve_separable(np.array([[0.42]]), gaussian_kernel_1d(1.0))
         assert out[0, 0] == pytest.approx(0.42, abs=1e-12)
+
+    def test_stack_equals_each_image_alone(self, rng):
+        # axes -2 and -1 are filtered, so no image bleeds into the next
+        g = gaussian_kernel_1d(1.5)
+        d = gaussian_derivative_kernel_1d(1.0, 1)
+        stack = rng.random((2, 3, 11, 7))
+        stack[0, 1] = 0.0  # a flat image between two textured ones
+        for kernels in ({"kernel_row": g}, {"kernel_row": d, "kernel_col": g},
+                        {"kernel_row": g, "kernel_col": d}):
+            got = convolve_separable(stack, **kernels)
+            assert got.shape == stack.shape
+            for i in np.ndindex(stack.shape[:2]):
+                assert np.array_equal(got[i],
+                                      convolve_separable(stack[i], **kernels))
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_names_first_bad_image_of_a_stack(self, rng, bad):
+        stack = rng.random((2, 3, 5, 4))
+        stack[1, 0, 4, 3] = bad  # flat index 3
+        stack[1, 2, 0, 0] = bad  # a later bad image is not the one named
+        with pytest.raises(NonFiniteImageError,
+                           match="image 3 of the stack") as info:
+            check_finite(stack)
+        assert info.value.index == 3
+
+    def test_single_image_has_no_index(self, rng):
+        img = rng.random((5, 4))
+        check_finite(img)
+        check_finite(img[None])
+        img[2, 2] = np.nan
+        with pytest.raises(NonFiniteImageError,
+                           match="^image has NaN or infinite pixels$") as info:
+            check_finite(img)
+        assert info.value.index is None
