@@ -150,6 +150,9 @@ def make_splits(manifest, policy):
             raise ConfigError("manifest carries no predefined split flags")
         train = [i for i, fl in enumerate(manifest.split_flags) if fl == "train"]
         test = [i for i, fl in enumerate(manifest.split_flags) if fl == "test"]
+        for side, ids in (("train", train), ("test", test)):
+            if not ids:
+                raise ConfigError(f"predefined split has no {side} sample")
         return [(train, test)]
     if policy.n_train < 1:
         raise ConfigError("n_train must be >= 1 for random splits")
@@ -289,10 +292,9 @@ def _blocks(images, spec):
 
 def _extract_features(images, paths, name, config):
     """Descriptor histograms of the images after preprocessing, extracted a
-    block at a time (see _blocks); returns (feature matrix, mean per-image
-    extraction ms).  An image with a NaN or infinite pixel is named by its
-    path."""
-    feats, t0 = [], time.perf_counter()
+    block at a time (see _blocks).  An image with a NaN or infinite pixel
+    is named by its path."""
+    feats = []
     for lo, hi in _blocks(images, config.descriptor.spec):
         try:
             feats.append(descriptors.extract(
@@ -302,53 +304,28 @@ def _extract_features(images, paths, name, config):
             raise NonFiniteImageError(
                 f"{paths[lo + exc.index]}: image has NaN or infinite "
                 f"pixels") from None
-    ms = (time.perf_counter() - t0) * 1000.0 / max(len(images), 1)
-    return np.concatenate(feats), ms
-
-
-def _split_distances(feats, labels, splits):
-    """(dist, rows, cols): the chi2 distances from the samples in ``rows``
-    to those in ``cols``, which cover every split's test and training
-    indices, both sorted.
-
-    When the unions overlap enough that half the square over their union
-    (|union|^2 / 2) is smaller than the rectangle |test union| x |train
-    union|, as with random splits, the union is compared with itself and
-    each pair is computed once.  Otherwise, as with disjoint predefined
-    splits or noise rows, the test union is compared with the training
-    union.  The matrix takes 8 bytes per cell, at most 8 N^2 bytes for N
-    samples.
-    """
-    rows = sorted(set().union(*(test for _, test in splits)))
-    cols = sorted(set().union(*(train for train, _ in splits)))
-    union = sorted(set(rows).union(cols))
-    if len(union) ** 2 / 2 < len(rows) * len(cols):
-        return (_chi2_triangle(ReferenceSet(feats[union], labels[union])),
-                union, union)
-    return (chi2_matrix(feats[rows], ReferenceSet(feats[cols], labels[cols])),
-            rows, cols)
+    return np.concatenate(feats)
 
 
 def _run_splits(feats, labels, splits):
-    """Accuracy per split; features indexed by sample id.  Returns
-    (accuracies, mean per-query match ms).
+    """Accuracy per split; features and split indices are by sample id.
 
-    Splits re-score the same (test, train) pairs, so every distance is
-    computed once (see _split_distances), and each split is then
-    evaluated on its own rows and columns of the matrix.  Training
-    columns keep their sorted order, so ties still go to the lowest
-    training index.
+    When half the square over all samples (N^2 / 2) is smaller than the
+    splits' rectangles together (sum of test x train), as with many random
+    splits, every sample is compared with every other once and each split
+    reads its own cells of that matrix (8 N^2 bytes).  Otherwise, as with
+    one split or few-shot splits, each split compares its test side with
+    its training side.  Training columns keep their sorted order, so ties
+    still go to the lowest training index.
     """
-    t0 = time.perf_counter()
-    dist, rows, cols = _split_distances(feats, labels, splits)
-    accs = []
-    for train, test in splits:
-        sub = dist[np.ix_(np.searchsorted(rows, test),
-                          np.searchsorted(cols, train))]
-        acc, _ = evaluate(sub, labels[test], labels[train])
-        accs.append(acc)
-    match_ms = (time.perf_counter() - t0) * 1000.0
-    return accs, match_ms / sum(len(test) for _, test in splits)
+    if len(feats) ** 2 / 2 < sum(len(tr) * len(te) for tr, te in splits):
+        dist = _chi2_triangle(ReferenceSet(feats, labels))
+        split_dist = lambda train, test: dist[np.ix_(test, train)]
+    else:
+        split_dist = lambda train, test: chi2_matrix(
+            feats[test], ReferenceSet(feats[train], labels[train]))
+    return [evaluate(split_dist(train, test), labels[test], labels[train])[0]
+            for train, test in splits]
 
 
 def run_experiment(config, manifest=None, images=None):
@@ -383,11 +360,16 @@ def run_experiment(config, manifest=None, images=None):
     rows, failures = [], []
     for name in config.preprocessors:
         try:
-            feats, extract_ms = _extract_features(images, paths, name,
-                                                  config)
+            t0 = time.perf_counter()
+            feats = _extract_features(images, paths, name, config)
+            t1 = time.perf_counter()
             fsize = feats.shape[1]
-            accs, match_ms = _run_splits(feats, labels, splits)
-            timing = (extract_ms, match_ms) if config.include_timing else ()
+            accs = _run_splits(feats, labels, splits)
+            timing = ()
+            if config.include_timing:  # mean ms per image and per query
+                timing = ((t1 - t0) * 1000.0 / len(images),
+                          (time.perf_counter() - t1) * 1000.0
+                          / sum(len(test) for _, test in splits))
             rows.append(row(name, "clean", accs, fsize, *timing))
             if config.noise is None:
                 continue
@@ -402,10 +384,9 @@ def run_experiment(config, manifest=None, images=None):
                     noisy = [add_gaussian_noise(images[i], snr, rng)
                              for i in corrupted]
                     nfeats = feats.copy()
-                    nfeats[corrupted], _ = _extract_features(
+                    nfeats[corrupted] = _extract_features(
                         noisy, [paths[i] for i in corrupted], name, config)
-                    sub, _ = _run_splits(nfeats, labels, [(train, test)])
-                    accs.extend(sub)
+                    accs.extend(_run_splits(nfeats, labels, [(train, test)]))
                 rows.append(row(name, f"{snr:g}", accs, fsize))
         except (OSError, ValueError) as exc:  # keep remaining rows running
             failures.append((name, f"{type(exc).__name__}: {exc}"))

@@ -122,6 +122,8 @@ def save_pgm(img, path):
     img = np.asarray(img, dtype=np.float64)
     q = np.rint(np.clip(img, 0.0, 1.0) * 255).astype(np.uint8)
     h, w = q.shape
+    if q.size == 0:
+        raise ValueError(f"{path}: cannot write a {w}x{h} image (no pixels)")
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(q.tobytes())
@@ -178,7 +180,12 @@ def gaussian_derivative_kernel_1d(sigma, order):
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     if order == 1:
         taps = x * g / (sigma * sigma)
-        return taps / np.dot(x, taps)
+        slope = np.dot(x, taps)
+        if slope == 0.0:  # every off-centre tap underflowed to 0
+            raise ValueError(f"sigma={sigma} is too small for a first "
+                             f"derivative kernel: its off-centre taps "
+                             f"underflow to 0")
+        return taps / slope
     if order == 2:
         taps = (x * x / sigma ** 4 - 1.0 / sigma ** 2) * g
         taps -= taps.mean()  # exact zero response to constants

@@ -86,6 +86,9 @@ def generate_suite(out_dir, n_classes=DEFAULT_CLASSES,
     """Write the suite as PGM files plus a manifest; returns the manifest path."""
     if not 2 <= n_classes <= len(CLASS_NAMES):
         raise ValueError(f"n_classes must be in [2, {len(CLASS_NAMES)}]")
+    for name, value in (("per_class", per_class), ("size", size)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     os.makedirs(out_dir, exist_ok=True)
     lines = ["# synthetic texture suite"]
     for c in range(n_classes):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,22 @@ class TestExperimentCommand:
         assert captured.out == ""
         assert f"error: {message}" in captured.err
 
+    def test_one_sided_predefined_split_is_usage_error(self, tmp_path,
+                                                       capsys):
+        manifest = Path(generate_suite(tmp_path / "suite", n_classes=3,
+                                       per_class=2, size=24, seed=0))
+        lines = [l for l in manifest.read_text().splitlines()
+                 if not l.startswith("#")]
+        manifest.write_text("".join(f"{l} test\n" for l in lines))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"manifest = {manifest}\nmode = predefined\n")
+        out = tmp_path / "report.csv"
+        assert run_cli(["experiment", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        assert "predefined split has no train sample" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_manifest_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("manifest = nowhere.txt\n")
@@ -290,6 +308,20 @@ class TestGenSynthetic:
         name = lines[0].split()[0]
         img = load_image(out / name)
         assert img.shape == (48, 48)
+
+    @pytest.mark.parametrize("flag,value", [("--per-class", "0"),
+                                            ("--size", "0"),
+                                            ("--size", "-3")])
+    def test_empty_suite_is_usage_error(self, tmp_path, capsys, flag,
+                                        value):
+        # nothing is written that load_image or a manifest would reject
+        out = tmp_path / "suite"
+        assert run_cli(["gen-synthetic", "--out-dir", str(out),
+                        "--classes", "2", flag, value]) == 2
+        name = flag[2:].replace("-", "_")
+        assert f"error: {name} must be >= 1, got {value}" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_help_lists_defaults(capsys):

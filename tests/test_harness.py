@@ -127,6 +127,14 @@ class TestSplits:
         with pytest.raises(ConfigError):
             make_splits(toy_manifest(), SplitPolicy(mode="predefined"))
 
+    @pytest.mark.parametrize("flag,empty", [("train", "test"),
+                                            ("test", "train")])
+    def test_predefined_needs_both_sides(self, flag, empty):
+        m = Manifest(samples=[("a.pgm", 0), ("b.pgm", 1), ("c.pgm", 0)],
+                     split_flags=[flag] * 3)
+        with pytest.raises(ConfigError, match=f"has no {empty} sample"):
+            make_splits(m, SplitPolicy(mode="predefined"))
+
 
 class TestNoise:
     def test_huge_snr_is_identity(self, rng):
@@ -202,8 +210,9 @@ def reference_noise_rows(config):
 
 def split_features(rng, mode):
     """(features, labels, splits) of 40 samples in 4 classes, with exact
-    cross-class ties: disjoint halves for "predefined", else 5 random
-    splits of 4 training samples a class."""
+    cross-class ties: disjoint halves for "predefined", 3 random splits of
+    1 training sample a class for "few-shot", else 5 random splits of 4
+    training samples a class."""
     labels = np.repeat(np.arange(4), 10)
     feats = rng.random((40, 30))
     feats[[7, 12, 25]] = feats[2]  # ties across classes
@@ -211,8 +220,9 @@ def split_features(rng, mode):
     if mode == "predefined":  # disjoint train and test sets
         return feats, labels, [(list(range(0, 40, 2)), list(range(1, 40, 2)))]
     manifest = Manifest([(f"{i}.pgm", lab) for i, lab in enumerate(labels)])
-    return feats, labels, make_splits(manifest, SplitPolicy(n_train=4,
-                                                            repeats=5, seed=3))
+    policy = (SplitPolicy(n_train=1, repeats=3, seed=3) if mode == "few-shot"
+              else SplitPolicy(n_train=4, repeats=5, seed=3))
+    return feats, labels, make_splits(manifest, policy)
 
 
 def scan_accuracies(feats, labels, splits):
@@ -281,7 +291,7 @@ class TestRunExperiment:
                for r in run_experiment(config).rows if r.snr != "clean"}
         assert got == reference_noise_rows(config)
 
-    @pytest.mark.parametrize("mode", ["random", "predefined"])
+    @pytest.mark.parametrize("mode", ["random", "predefined", "few-shot"])
     def test_accuracies_match_per_split_scan(self, small_suite, mode):
         manifest = load_manifest(small_suite)
         images = [load_image(p) for p, _ in manifest.samples]
@@ -297,6 +307,8 @@ class TestRunExperiment:
                                 split_flags=["test" if i % 3 == 0 else "train"
                                              for i in range(len(images))])
             split = SplitPolicy(mode="predefined")
+        elif mode == "few-shot":
+            split = SplitPolicy(n_train=1, repeats=2, seed=9)
         else:
             split = SplitPolicy(n_train=3, repeats=4, seed=9)
         config = small_config(small_suite, split=split)
@@ -313,7 +325,8 @@ class TestRunExperiment:
                                         if len(accs) > 1 else None)
 
     @pytest.mark.parametrize("mode,path", [("random", "_chi2_triangle"),
-                                           ("predefined", "chi2_matrix")])
+                                           ("predefined", "chi2_matrix"),
+                                           ("few-shot", "chi2_matrix")])
     def test_run_splits_equals_per_split_evaluate(self, rng, monkeypatch,
                                                   mode, path):
         feats, labels, splits = split_features(rng, mode)
@@ -328,8 +341,10 @@ class TestRunExperiment:
             monkeypatch.setattr(harness, name, record)
         spy("_chi2_triangle")
         spy("chi2_matrix")
-        accs, _ = harness._run_splits(feats, labels, splits)
-        assert calls == [path]
+        accs = harness._run_splits(feats, labels, splits)
+        # one triangle for the row, or one rectangle per split
+        assert calls == [path] * (1 if path == "_chi2_triangle"
+                                  else len(splits))
         want = []
         for train, test in splits:
             refs = ReferenceSet(feats[train], labels[train])
@@ -379,6 +394,14 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "apply_preprocessor", broken)
         with pytest.raises(TypeError, match="broken preprocessor"):
             run_experiment(small_config(small_suite))
+
+    def test_failure_row_names_too_small_deriv_sigma(self, small_suite):
+        report = run_experiment(small_config(
+            small_suite, preprocessors=("gderiv1", "none"), deriv_sigma=0.02))
+        assert [r.preprocessor for r in report.rows] == ["none"]
+        assert report.failures == [(
+            "gderiv1", "ValueError: sigma=0.02 is too small for a first "
+            "derivative kernel: its off-centre taps underflow to 0")]
 
     def test_non_finite_image_is_a_failure_row(self, small_suite):
         manifest = load_manifest(small_suite)
@@ -506,7 +529,7 @@ class TestBlockExtraction:
         assert blocks[:3] == [(0, 3), (3, 6), (6, 7)]
         assert blocks[-1] == (9, 10) and blocks[-2][0] == 7
         for subset in (images, images[4:5]):
-            feats, _ = harness._extract_features(
+            feats = harness._extract_features(
                 subset, [f"img{i}" for i in range(len(subset))],
                 preprocessor, config)
             want = np.stack([

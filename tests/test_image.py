@@ -75,6 +75,14 @@ class TestPgmIO:
         raw = p.read_bytes()
         assert raw[-2:] == bytes([255, 0])
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0)])
+    def test_save_rejects_image_without_pixels(self, tmp_path, shape):
+        # load_pgm rejects such a file, so none is written
+        p = tmp_path / "empty.pgm"
+        with pytest.raises(ValueError, match="no pixels"):
+            save_pgm(np.zeros(shape), p)
+        assert not p.exists()
+
 
 class TestCsvIO:
     def test_roundtrip_exact(self, tmp_path, rng):
@@ -154,6 +162,17 @@ class TestDerivativeKernels:
     def test_invalid_sigma(self):
         with pytest.raises(ValueError, match="sigma must be positive"):
             gaussian_derivative_kernel_1d(0.0, 1)
+
+    def test_first_order_names_too_small_sigma(self):
+        # at sigma <= 0.025 every off-centre tap underflows to 0; order 2
+        # degrades to the [1, -2, 1] stencil instead.  pytest turns
+        # warnings into errors, so no RuntimeWarning may come first.
+        with pytest.raises(ValueError, match=r"sigma=0\.02 is too small"):
+            gaussian_derivative_kernel_1d(0.02, 1)
+        assert np.array_equal(gaussian_derivative_kernel_1d(0.026, 1),
+                              [-0.5, 0.0, 0.5])
+        np.testing.assert_allclose(gaussian_derivative_kernel_1d(0.02, 2),
+                                   [1.0, -2.0, 1.0])
 
 
 def dense_convolve_2d(img, kernel_1d):
