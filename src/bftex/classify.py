@@ -40,13 +40,13 @@ def _check_bins(histograms, what):
 
 def chi2(h, k):
     """Chi-square distance sum (h_i - k_i)^2 / (h_i + k_i); 0/0 bins
-    contribute zero.  Bins must be non-negative."""
+    contribute zero.  Bins must be finite and non-negative."""
     h = np.asarray(h, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     if h.shape != k.shape:
         raise ValueError(f"histogram length mismatch: {h.shape} vs {k.shape}")
-    if (h < 0).any() or (k < 0).any():
-        raise ValueError("histograms contain negative bins")
+    _check_bins(h, "first")
+    _check_bins(k, "second")
     denom = h + k
     num = (h - k) ** 2
     return float(np.sum(np.divide(num, denom, out=np.zeros_like(num),
@@ -130,49 +130,24 @@ def nn_classify(query, refs):
     return int(refs.labels[idx]), float(dists[idx])
 
 
-def nearest(queries, refs):
-    """(labels, distances) of the nearest reference to every query row;
-    ties go to the lowest reference index.  Queries go through in blocks
-    of about _BLOCK_CELLS distances, so memory stays bounded whatever
-    their number."""
-    queries = np.asarray(queries, dtype=np.float64)
-    step = max(1, _BLOCK_CELLS // len(refs.labels))
-    idx, dists = [], []
-    for i0 in range(0, max(len(queries), 1), step):
-        dist = chi2_matrix(queries[i0:i0 + step], refs)
-        j = np.argmin(dist, axis=1)
-        idx.append(j)
-        dists.append(dist[np.arange(len(j)), j])
-    return refs.labels[np.concatenate(idx)], np.concatenate(dists)
-
-
-def score(predicted, query_labels, ref_labels):
-    """(accuracy, confusion matrix) of predicted against true labels.
+def evaluate(dist, query_labels, ref_labels):
+    """(accuracy, confusion matrix) of the nearest reference to every query,
+    from the (queries x references) chi2 matrix ``dist``; ties go to the
+    lowest reference index.
 
     Confusion rows are true classes, columns predicted classes, indexed by
     raw label value up to the largest query or reference label.
     """
     query_labels = np.asarray(query_labels, dtype=np.int64)
     ref_labels = np.asarray(ref_labels, dtype=np.int64)
-    if len(query_labels) != len(predicted):
-        raise ValueError(f"{len(query_labels)} query labels for "
-                         f"{len(predicted)} predictions")
-    _check_labels(query_labels, "query")
-    _check_labels(ref_labels, "reference")
-    n_classes = int(max(query_labels.max(), ref_labels.max())) + 1
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(confusion, (query_labels, predicted), 1)
-    return int(np.sum(predicted == query_labels)) / len(predicted), confusion
-
-
-def evaluate(dist, query_labels, ref_labels):
-    """score() of the nearest reference to every query, from the (queries
-    x references) chi2 matrix ``dist``; ties go to the lowest reference
-    index."""
-    ref_labels = np.asarray(ref_labels, dtype=np.int64)
     if np.shape(dist) != (len(query_labels), len(ref_labels)):
         raise ValueError(f"distance matrix {np.shape(dist)} does not match "
                          f"{len(query_labels)} query labels x "
                          f"{len(ref_labels)} reference labels")
-    return score(ref_labels[np.argmin(dist, axis=1)], query_labels,
-                 ref_labels)
+    _check_labels(query_labels, "query")
+    _check_labels(ref_labels, "reference")
+    predicted = ref_labels[np.argmin(dist, axis=1)]
+    n_classes = int(max(query_labels.max(), ref_labels.max())) + 1
+    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+    np.add.at(confusion, (query_labels, predicted), 1)
+    return int(np.sum(predicted == query_labels)) / len(predicted), confusion

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import descriptors, harness
-from .classify import ReferenceSet, nearest, score
+from .classify import ReferenceSet, chi2_matrix, evaluate
 from .image import load_image, save_csv_matrix, save_pgm
 from .retina import BfParams, bf_preprocess
 from .synthetic import (DEFAULT_CLASSES, DEFAULT_PER_CLASS, DEFAULT_SIZE,
@@ -106,10 +106,10 @@ def cmd_classify(args):
     _, ref_labels, ref_feats = _read_feature_csv(args.refs)
     ids, q_labels, q_feats = _read_feature_csv(args.queries)
     refs = ReferenceSet(ref_feats, ref_labels)
-    predicted, dists = nearest(q_feats, refs)
-    acc, confusion = score(predicted, q_labels, refs.labels)
-    for sid, pred, dist in zip(ids, predicted, dists):
-        print(f"{sid},{pred},{dist:.6f}")
+    dist = chi2_matrix(q_feats, refs)
+    acc, confusion = evaluate(dist, q_labels, refs.labels)
+    for i, j in enumerate(np.argmin(dist, axis=1)):
+        print(f"{ids[i]},{refs.labels[j]},{dist[i, j]:.6f}")
     print(f"accuracy,{acc:.6f}")
     if args.confusion:
         np.savetxt(args.confusion, confusion, fmt="%d", delimiter=",")

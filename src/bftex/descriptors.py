@@ -363,9 +363,11 @@ def extract(source, config):
 
     For a map pair, each map is encoded as an ordinary image (its own
     thresholds) and the two histograms are concatenated and jointly
-    renormalized.  A raw image with a NaN or infinite pixel is rejected.
+    renormalized.  An image or map with a NaN or infinite pixel is rejected.
     """
     if isinstance(source, BfMaps):
+        check_finite(source.plus)
+        check_finite(source.minus)
         return _normalized(np.concatenate([_histogram(source.plus, config),
                                            _histogram(source.minus, config)],
                                           axis=-1))

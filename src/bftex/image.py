@@ -107,7 +107,9 @@ def load_image(path):
                 "PNG support requires Pillow (pip install bftex[png])") from None
         with Image.open(path) as im:
             arr = np.asarray(im)
-        maxval = 65535.0 if arr.dtype == np.uint16 else 255.0
+        # Pillow decodes 16-bit gray as I;16 (uint16) or I (int32),
+        # depending on its version
+        maxval = 65535.0 if arr.dtype.itemsize > 1 else 255.0
         arr = arr.astype(np.float64)
         if arr.ndim == 3:
             arr = (LUMA_WEIGHTS[0] * arr[..., 0] + LUMA_WEIGHTS[1] * arr[..., 1]

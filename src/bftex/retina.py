@@ -71,11 +71,13 @@ def split_maps(response, epsilon):
     plus(p) = response(p) where response(p) >= epsilon, else 0;
     minus(p) = |response(p)| where response(p) <= -epsilon, else 0.
     Exactly-zero responses go to neither map (relevant only for epsilon=0),
-    so no pixel is ever counted on both sides.
+    so no pixel is ever counted on both sides.  A response with a NaN or
+    infinite value is rejected (see check_finite).
     """
     if not 0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be in [0, inf), got {epsilon}")
     response = np.asarray(response, dtype=np.float64)
+    check_finite(response)
     on = (response >= epsilon) & (response > 0)
     off = (response <= -epsilon) & (response < 0)
     plus = np.where(on, response, 0.0)

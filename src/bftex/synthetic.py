@@ -17,6 +17,9 @@ DEFAULT_CLASSES = 8
 DEFAULT_PER_CLASS = 20
 DEFAULT_SIZE = 64
 SENSOR_NOISE = 0.05
+# Image i of class c draws from key (seed << 32) + c * MAX_PER_CLASS + i,
+# so more images per class would share a stream with the next class.
+MAX_PER_CLASS = 1000
 
 
 def _rotated_coords(size, angle):
@@ -89,11 +92,15 @@ def generate_suite(out_dir, n_classes=DEFAULT_CLASSES,
     for name, value in (("per_class", per_class), ("size", size)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    if per_class > MAX_PER_CLASS:
+        raise ValueError(f"per_class must be <= {MAX_PER_CLASS}, got "
+                         f"{per_class}")
     os.makedirs(out_dir, exist_ok=True)
     lines = ["# synthetic texture suite"]
     for c in range(n_classes):
         for i in range(per_class):
-            rng = np.random.Generator(np.random.Philox(key=(seed << 32) + c * 1000 + i))
+            rng = np.random.Generator(np.random.Philox(
+                key=(seed << 32) + c * MAX_PER_CLASS + i))
             img = synth_image(c, size, rng)
             name = f"{CLASS_NAMES[c]}_{i:03d}.pgm"
             save_pgm(img, os.path.join(out_dir, name))

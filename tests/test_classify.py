@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bftex import classify
 from bftex.classify import (ReferenceSet, chi2, chi2_matrix, evaluate,
-                            nearest, nn_classify, score)
+                            nn_classify)
 
 # seeded and small: every run draws the same examples
 FAST = settings(max_examples=25, deadline=None, derandomize=True)
@@ -131,10 +131,9 @@ class TestChi2Matrix:
         twin = block_rows(d) + 2  # in the next block
         assert labels[twin] != labels[3]
         refs[twin] = refs[3]
-        queries = refs[[3]] + 0.01
-        predicted, dists = nearest(queries, ReferenceSet(refs, labels))
-        assert predicted[0] == labels[3]
-        assert dists[0] == chi2(queries[0], refs[3])
+        query = refs[3] + 0.01
+        assert nn_classify(query, ReferenceSet(refs, labels)) == \
+            (labels[3], chi2(query, refs[3]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_query_rejected(self, rng, bad):
@@ -143,6 +142,10 @@ class TestChi2Matrix:
         queries[1, 3] = bad
         with pytest.raises(ValueError, match="query"):
             chi2_matrix(queries, refs)
+        # the scalar chi2 rejects the same bins, in either argument
+        for h, k in ((queries[1], queries[0]), (queries[0], queries[1])):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                chi2(h, k)
 
     def test_shape_checks(self, rng):
         refs = ReferenceSet(rng.random((3, 4)), [0, 1, 0])
@@ -215,6 +218,16 @@ class TestNnClassify:
         assert a == b
 
 
+def nn_classify_score(queries, query_labels, refs):
+    """(accuracy, confusion matrix) of a per-query nn_classify loop."""
+    predicted = [nn_classify(q, refs)[0] for q in queries]
+    n_classes = max(max(query_labels), max(refs.labels)) + 1
+    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for true, pred in zip(query_labels, predicted):
+        confusion[true, pred] += 1
+    return np.mean(np.equal(predicted, query_labels)), confusion
+
+
 class TestEvaluate:
     def test_identical_queries_are_perfect(self, rng):
         hists = rng.random((8, 5))
@@ -269,8 +282,6 @@ class TestEvaluate:
     def test_negative_reference_label_rejected(self):
         with pytest.raises(ValueError, match="reference labels .* -1"):
             evaluate(np.zeros((1, 2)), [0], [-1, 0])
-        with pytest.raises(ValueError, match="reference labels .* -2"):
-            score(np.array([0]), [0], [0, -2])
 
     def test_label_count_must_match_queries(self, rng):
         refs = ReferenceSet(rng.random((2, 4)), [0, 1])
@@ -278,30 +289,19 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"\(3, 2\) does not match 2 "
                                              "query labels x 2 reference"):
             evaluate(dist, [0, 1], refs.labels)
-        with pytest.raises(ValueError, match="2 query labels for 3"):
-            score(np.zeros(3, dtype=np.int64), [0, 1], refs.labels)
 
-    def test_nearest_and_score_match_per_query_loop(self, rng):
+    def test_matches_per_query_nn_classify(self, rng):
         hists = rng.random((20, 6))
         labels = rng.integers(0, 3, size=20)
         refs = ReferenceSet(hists[:10], labels[:10])
-        predicted, dists = nearest(hists[10:], refs)
-        for q, pred, dist in zip(hists[10:], predicted, dists):
-            assert (pred, dist) == nn_classify(q, refs)
-        assert score(predicted, labels[10:], refs.labels)[0] == \
-            evaluate(chi2_matrix(hists[10:], refs), labels[10:],
-                     refs.labels)[0]
-
-    def test_nearest_over_many_query_blocks(self, rng, monkeypatch):
-        monkeypatch.setattr(classify, "_BLOCK_CELLS", 16)  # 3 queries a block
-        hists = rng.random((15, 6))
-        labels = rng.integers(0, 3, size=15)
-        refs = ReferenceSet(hists[:5], labels[:5])
-        hists[12] = hists[4]  # exact match in the last query block
-        predicted, dists = nearest(hists[5:], refs)
-        assert list(zip(predicted, dists)) == \
-            [nn_classify(q, refs) for q in hists[5:]]
-        assert dists[7] == 0.0
+        hists[17] = hists[4]  # an exact match
+        acc, confusion = evaluate(chi2_matrix(hists[10:], refs), labels[10:],
+                                  refs.labels)
+        want_acc, want_confusion = nn_classify_score(hists[10:], labels[10:],
+                                                     refs)
+        assert acc == want_acc
+        assert np.array_equal(confusion, want_confusion)
+        assert nn_classify(hists[17], refs) == (labels[4], 0.0)
 
     def test_equals_score_of_nearest(self, rng):
         hists = rng.random((12, 6))
@@ -313,8 +313,8 @@ class TestEvaluate:
         dist = chi2_matrix(hists[5:], refs)
         assert dist[0, 1] == dist[0, 3] == dist[3, 1] == dist[3, 3] == 0.0
         acc, confusion = evaluate(dist, labels[5:], refs.labels)
-        want_acc, want_confusion = score(nearest(hists[5:], refs)[0],
-                                         labels[5:], refs.labels)
+        want_acc, want_confusion = nn_classify_score(hists[5:], labels[5:],
+                                                     refs)
         assert acc == want_acc
         assert np.array_equal(confusion, want_confusion)
         assert confusion[2, 1] >= 2

@@ -311,15 +311,19 @@ class TestGenSynthetic:
 
     @pytest.mark.parametrize("flag,value", [("--per-class", "0"),
                                             ("--size", "0"),
-                                            ("--size", "-3")])
+                                            ("--size", "-3"),
+                                            ("--per-class", "1001")])
     def test_empty_suite_is_usage_error(self, tmp_path, capsys, flag,
                                         value):
-        # nothing is written that load_image or a manifest would reject
+        # nothing is written that load_image or a manifest would reject; at
+        # 1001 per class, image 1000 of class 0 would draw the random stream
+        # of image 0 of class 1
         out = tmp_path / "suite"
         assert run_cli(["gen-synthetic", "--out-dir", str(out),
                         "--classes", "2", flag, value]) == 2
         name = flag[2:].replace("-", "_")
-        assert f"error: {name} must be >= 1, got {value}" in \
+        bound = "<= 1000" if int(value) > 1000 else ">= 1"
+        assert f"error: {name} must be {bound}, got {value}" in \
             capsys.readouterr().err
         assert not out.exists()
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bftex import descriptors as D
-from bftex.retina import bf_preprocess
+from bftex.image import NonFiniteImageError
+from bftex.retina import BfMaps, bf_preprocess
 from oracles import riu2_map, sample_neighbors
 
 # seeded and small: every run draws the same examples
@@ -471,6 +472,16 @@ class TestExtract:
         for family in ("lbp", "wld"):
             with pytest.raises(ValueError, match="NaN or infinite pixels"):
                 D.extract(img, D.DescriptorConfig(family=family))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_map_rejected(self, rng, bad):
+        # a NaN map pixel would otherwise still give a histogram summing to 1
+        img = rng.random((12, 12))
+        bad_map = img.copy()
+        bad_map[3, 5] = bad
+        for maps in (BfMaps(bad_map, img, img), BfMaps(img, bad_map, img)):
+            with pytest.raises(NonFiniteImageError):
+                D.extract(maps, D.DescriptorConfig())
 
 
 class TestValidation:

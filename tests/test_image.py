@@ -1,7 +1,11 @@
+import struct
+import sys
+import zlib
+
 import numpy as np
 import pytest
 
-from bftex.image import (ImageFormatError, NonFiniteImageError,
+from bftex.image import (LUMA_WEIGHTS, ImageFormatError, NonFiniteImageError,
                          check_finite, convolve_separable,
                          gaussian_derivative_kernel_1d, gaussian_kernel_1d,
                          load_image, load_pgm, save_csv_matrix, save_pgm)
@@ -82,6 +86,51 @@ class TestPgmIO:
         with pytest.raises(ValueError, match="no pixels"):
             save_pgm(np.zeros(shape), p)
         assert not p.exists()
+
+
+def write_png(path, pixels, bit_depth):
+    """Write a (h, w) gray or (h, w, 3) RGB array of ints as an unfiltered,
+    non-interlaced PNG, without Pillow."""
+    pixels = np.asarray(pixels, dtype=">u2" if bit_depth == 16 else np.uint8)
+    h, w = pixels.shape[:2]
+    color_type = 2 if pixels.ndim == 3 else 0
+
+    def chunk(kind, data):
+        return (struct.pack(">I", len(data)) + kind + data
+                + struct.pack(">I", zlib.crc32(kind + data)))
+
+    ihdr = struct.pack(">IIBBBBB", w, h, bit_depth, color_type, 0, 0, 0)
+    scanlines = b"".join(b"\0" + row.tobytes() for row in pixels)
+    path.write_bytes(b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+                     + chunk(b"IDAT", zlib.compress(scanlines))
+                     + chunk(b"IEND", b""))
+
+
+class TestPngIO:
+    def test_without_pillow_names_it(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.png"
+        write_png(p, [[0, 255]], 8)
+        monkeypatch.setitem(sys.modules, "PIL", None)  # import fails
+        with pytest.raises(ImageFormatError, match="Pillow"):
+            load_image(p)
+
+    def test_decodes_gray_and_rgb(self, tmp_path):
+        pytest.importorskip("PIL")
+        gray8 = np.array([[0, 255, 128], [64, 1, 254]])
+        gray16 = np.array([[0, 65535, 4660], [1, 32768, 65534]])
+        rgb = np.array([[[255, 0, 0], [0, 255, 0], [0, 0, 255]],
+                        [[10, 200, 30], [255, 255, 255], [0, 0, 0]]])
+        luma = sum(w * rgb[..., c] for c, w in enumerate(LUMA_WEIGHTS))
+        for name, pixels, bit_depth, want in (
+                ("gray8", gray8, 8, gray8 / 255.0),
+                ("gray16", gray16, 16, gray16 / 65535.0),
+                ("rgb", rgb, 8, luma / 255.0)):
+            p = tmp_path / f"{name}.png"
+            write_png(p, pixels, bit_depth)
+            img = load_image(p)
+            assert img.dtype == np.float64 and img.shape == (2, 3), name
+            np.testing.assert_allclose(img, want, rtol=0, atol=1e-12,
+                                       err_msg=name)
 
 
 class TestCsvIO:

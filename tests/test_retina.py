@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bftex.image import gaussian_kernel_1d
+from bftex.image import NonFiniteImageError, gaussian_kernel_1d
 from bftex.retina import BfParams, bf_preprocess, dog_filter, split_maps
 from oracles import dog_kernel
 from test_image import dense_convolve_2d
@@ -117,6 +117,14 @@ class TestSplitMaps:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             split_maps(np.zeros((2, 2)), -0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_response_rejected(self, rng, bad):
+        # a NaN would otherwise go to neither map and read as a flat pixel
+        resp = rng.standard_normal((6, 6))
+        resp[2, 3] = bad
+        with pytest.raises(NonFiniteImageError):
+            split_maps(resp, 0.1)
 
 
 class TestBfPreprocess:
