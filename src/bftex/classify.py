@@ -144,6 +144,8 @@ def evaluate(dist, query_labels, ref_labels):
         raise ValueError(f"distance matrix {np.shape(dist)} does not match "
                          f"{len(query_labels)} query labels x "
                          f"{len(ref_labels)} reference labels")
+    if len(query_labels) == 0:
+        raise ValueError("no queries to evaluate")
     _check_labels(query_labels, "query")
     _check_labels(ref_labels, "reference")
     predicted = ref_labels[np.argmin(dist, axis=1)]

@@ -133,27 +133,86 @@ def _shifted(img, m, dr, dc):
     return img[..., m + dr:h - m + dr, m + dc:w - m + dc]
 
 
+def _run_bounds(shape, spec):
+    """(first, n) of the run over the flattened C-order stack that goes
+    from the first interior pixel to the last: neighbour (dr, dc) of flat
+    pixel j is flat pixel j + dr*W + dc, so each neighbour's samples over
+    the run are the run shifted by that much.  Cells of the run outside the
+    interior are junk; every neighbour read stays inside the stack, as the
+    margin exceeds the radius."""
+    m = spec.margin
+    first = m * shape[-1] + m
+    return first, math.prod(shape) - 2 * first
+
+
+def _neighbor_planes(img, spec):
+    """Yield (run, plane) for each of the P neighbours of a C-contiguous
+    stack: its samples over the run (see _run_bounds) and at the interior
+    pixels as an (..., H-2m, W-2m) view of the same cells.
+
+    An integer offset is a slice of the stack.  An interpolated one is
+    accumulated, in the order of the written-out bilinear sum, into one
+    buffer that the next neighbour overwrites.
+    """
+    m = spec.margin
+    h, w = img.shape[-2:]
+    flat = img.reshape(-1)
+    first, n = _run_bounds(img.shape, spec)
+    buf = np.empty(img.shape)
+    run, plane = buf.reshape(-1)[:n], buf[..., :h - 2 * m, :w - 2 * m]
+
+    def shifted(dr, dc):
+        return flat[first + dr * w + dc:first + dr * w + dc + n]
+
+    for dr, dc in neighbor_offsets(spec):
+        r0, c0 = math.floor(dr), math.floor(dc)
+        fr, fc = dr - r0, dc - c0
+        if fr == 0.0 and fc == 0.0:
+            yield shifted(r0, c0), _shifted(img, m, r0, c0)
+            continue
+        np.multiply((1 - fr) * (1 - fc), shifted(r0, c0), out=run)
+        run += (1 - fr) * fc * shifted(r0, c0 + 1)
+        run += fr * (1 - fc) * shifted(r0 + 1, c0)
+        run += fr * fc * shifted(r0 + 1, c0 + 1)
+        yield run, plane
+
+
+def _contiguous(img, spec):
+    """The stack as C-contiguous float64, large enough for spec."""
+    img = np.ascontiguousarray(img, dtype=np.float64)
+    _check_size(img, spec)
+    return img
+
+
 def neighbor_stack(img, spec):
     """(..., P, H-2m, W-2m) array of neighbor samples for every interior
     pixel, image-major: the P samples of one image are contiguous."""
-    img = np.asarray(img, dtype=np.float64)
-    _check_size(img, spec)
+    img = _contiguous(img, spec)
     m = spec.margin
     h, w = img.shape[-2:]
     out = np.empty(img.shape[:-2] + (spec.p, h - 2 * m, w - 2 * m))
-    for k, (dr, dc) in enumerate(neighbor_offsets(spec)):
-        r0, c0 = math.floor(dr), math.floor(dc)
-        fr, fc = dr - r0, dc - c0
-        plane = out[..., k, :, :]
-        if fr == 0.0 and fc == 0.0:
-            plane[...] = _shifted(img, m, r0, c0)
-        else:  # accumulated in place, in the order of the written-out sum
-            np.multiply((1 - fr) * (1 - fc), _shifted(img, m, r0, c0),
-                        out=plane)
-            plane += (1 - fr) * fc * _shifted(img, m, r0, c0 + 1)
-            plane += fr * (1 - fc) * _shifted(img, m, r0 + 1, c0)
-            plane += fr * fc * _shifted(img, m, r0 + 1, c0 + 1)
+    for k, (_, plane) in enumerate(_neighbor_planes(img, spec)):
+        out[..., k, :, :] = plane
     return out
+
+
+def _sign_bits(img, spec, t=None):
+    """Bool (P, ..., H-2m, W-2m) stacks written plane by plane over the
+    run, with no float neighbour stack: [neighbour >= centre], or with an
+    LTP threshold t the pair [neighbour >= centre + t] and
+    [neighbour <= centre - t].  Bit k of a pixel is neighbour k's."""
+    img = _contiguous(img, spec)
+    m = spec.margin
+    h, w = img.shape[-2:]
+    first, n = _run_bounds(img.shape, spec)
+    centre = img.reshape(-1)[first:first + n]
+    tests = ([(np.greater_equal, centre)] if t is None else
+             [(np.greater_equal, centre + t), (np.less_equal, centre - t)])
+    stacks = [np.empty((spec.p,) + img.shape, dtype=bool) for _ in tests]
+    for k, (run, _) in enumerate(_neighbor_planes(img, spec)):
+        for (test, limit), bits in zip(tests, stacks):
+            test(run, limit, out=bits.reshape(spec.p, -1)[k, :n])
+    return [bits[..., :h - 2 * m, :w - 2 * m] for bits in stacks]
 
 
 def interior(img, spec):
@@ -218,17 +277,22 @@ def _codes(img, spec, scheme, label):
     intensity.  `label` turns a (P, ...) bit stack into per-pixel labels.
     """
     planes = {plane for part in _parts(scheme) for plane in part}
-    diffs = neighbor_stack(img, spec)
+    img = np.asarray(img, dtype=np.float64)
+    _check_size(img, spec)
     center = interior(img, spec)
-    diffs -= center[..., None, :, :]  # in the stack's memory
-    s = label(_planes_first(diffs >= 0)) if "S" in planes else None
-    m = None
-    if "M" in planes:
+    s = m = None
+    if "M" in planes:  # thresholded by the mean over the whole stack
+        diffs = neighbor_stack(img, spec)
+        diffs -= center[..., None, :, :]  # in the stack's memory
+        if "S" in planes:
+            s = label(_planes_first(diffs >= 0))
         mags = np.abs(diffs, out=diffs)
         # image-major, so each image's mean sums its own contiguous cells
         # in the order a single image's mean does
         m = label(_planes_first(
             mags >= mags.mean(axis=(-3, -2, -1), keepdims=True)))
+    elif "S" in planes:  # for finite doubles a - b >= 0 exactly when a >= b
+        s = label(_sign_bits(img, spec)[0])
     c = ((center >= center.mean(axis=(-2, -1), keepdims=True))
          .astype(np.int32) if "C" in planes else None)
     return s, m, c
@@ -293,10 +357,7 @@ def ltp_histogram(img, spec, t=DEFAULT_LTP_T):
     each riu2-mapped; the two histograms are concatenated (2(P+2) bins)."""
     if not 0 <= t < math.inf:
         raise ValueError(f"ltp_t must be in [0, inf), got {t}")
-    stack = neighbor_stack(img, spec)
-    center = interior(img, spec)[..., None, :, :]
-    upper = riu2_from_bits(_planes_first(stack >= center + t))
-    lower = riu2_from_bits(_planes_first(stack <= center - t))
+    upper, lower = map(riu2_from_bits, _sign_bits(img, spec, t))
     b = spec.p + 2
     return _normalized(np.concatenate([_hist(upper, b), _hist(lower, b)],
                                       axis=-1))

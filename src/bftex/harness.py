@@ -25,9 +25,12 @@ from .classify import ReferenceSet, _chi2_triangle, chi2_matrix, evaluate
 from .image import NonFiniteImageError, load_image
 from .retina import BfParams, bf_preprocess
 
-# Float64 cells in one block's neighbour stack (2 MB): images go through
-# preprocessing and description a block at a time, which spreads each
-# numpy call's overhead over the block without a large working set.
+# Neighbour samples (P per interior pixel) in one block.  A scheme that
+# reads magnitudes holds them as a float64 stack (2 MB); sign-only codes
+# and LTP hold one bool per sample and pixel of the whole images, plus one
+# float64 plane.  Images go through preprocessing and description a block
+# at a time, which spreads each numpy call's overhead over the block
+# without a large working set.
 _BLOCK_CELLS = 1 << 18
 
 REPORT_COLUMNS = ("suite", "preprocessor", "family", "scheme", "P", "R",
@@ -334,10 +337,11 @@ def run_experiment(config, manifest=None, images=None):
     Clean accuracy is always reported; when a noise spec is present, one
     row per SNR level follows.  Noise is applied to test images only
     unless corrupt_train is set, and only the corrupted images are
-    extracted again.  A preprocessor row that fails on bad input (OSError
-    or ValueError) is recorded as a failure and the remaining rows still
-    run; any other error propagates.  Clean rows carry timings only when
-    config.include_timing is set.
+    extracted again.  Each repeat's noisy images are drawn once and shared
+    by every preprocessor.  A preprocessor that fails on bad input (OSError
+    or ValueError) keeps the rows it finished and is recorded as a failure,
+    and the other preprocessors still run; any other error propagates.
+    Clean rows carry timings only when config.include_timing is set.
     """
     if manifest is None:
         manifest = load_manifest(config.manifest_path, suite=config.suite)
@@ -357,40 +361,64 @@ def run_experiment(config, manifest=None, images=None):
             mean_accuracy=float(np.mean(accs)), std_accuracy=std,
             feature_size=fsize, extract_ms=extract_ms, match_ms=match_ms)
 
-    rows, failures = [], []
-    for name in config.preprocessors:
+    # by preprocessor index: clean features, rows, failure message; the
+    # loops run level, repeat, preprocessor so that each repeat's noise is
+    # drawn once, and the rows are still reported preprocessor first
+    names = config.preprocessors
+    feats, rows, failed = {}, [[] for _ in names], {}
+    for i, name in enumerate(names):
         try:
             t0 = time.perf_counter()
-            feats = _extract_features(images, paths, name, config)
+            feats[i] = _extract_features(images, paths, name, config)
             t1 = time.perf_counter()
-            fsize = feats.shape[1]
-            accs = _run_splits(feats, labels, splits)
+            accs = _run_splits(feats[i], labels, splits)
             timing = ()
             if config.include_timing:  # mean ms per image and per query
                 timing = ((t1 - t0) * 1000.0 / len(images),
                           (time.perf_counter() - t1) * 1000.0
                           / sum(len(test) for _, test in splits))
-            rows.append(row(name, "clean", accs, fsize, *timing))
-            if config.noise is None:
-                continue
-            for li, snr in enumerate(config.noise.snr_levels):
-                accs = []
-                for rep in range(config.noise.repeats):
-                    train, test = splits[rep % len(splits)]
-                    rng = _rng(config.noise.seed, li, rep)
-                    # noise is drawn for the test images first, in index
-                    # order; untouched images keep their clean features
-                    corrupted = test + (train if config.corrupt_train else [])
-                    noisy = [add_gaussian_noise(images[i], snr, rng)
-                             for i in corrupted]
-                    nfeats = feats.copy()
-                    nfeats[corrupted] = _extract_features(
-                        noisy, [paths[i] for i in corrupted], name, config)
-                    accs.extend(_run_splits(nfeats, labels, [(train, test)]))
-                rows.append(row(name, f"{snr:g}", accs, fsize))
+            rows[i].append(row(name, "clean", accs, feats[i].shape[1],
+                               *timing))
         except (OSError, ValueError) as exc:  # keep remaining rows running
-            failures.append((name, f"{type(exc).__name__}: {exc}"))
-    return ExperimentReport(rows=rows, failures=failures)
+            failed[i] = _failure(exc)
+    for li, snr in enumerate(config.noise.snr_levels if config.noise else ()):
+        accs = {i: [] for i in feats if i not in failed}
+        for rep in range(config.noise.repeats):
+            live = [i for i in accs if i not in failed]
+            if not live:
+                break
+            train, test = splits[rep % len(splits)]
+            rng = _rng(config.noise.seed, li, rep)
+            # noise is drawn for the test images first, in index order;
+            # untouched images keep their clean features
+            corrupted = test + (train if config.corrupt_train else [])
+            try:
+                noisy = [add_gaussian_noise(images[j], snr, rng)
+                         for j in corrupted]
+            except (OSError, ValueError) as exc:  # the same for each
+                failed.update((i, _failure(exc)) for i in live)
+                break
+            for i in live:
+                try:
+                    nfeats = feats[i].copy()
+                    nfeats[corrupted] = _extract_features(
+                        noisy, [paths[j] for j in corrupted], names[i],
+                        config)
+                    accs[i].extend(_run_splits(nfeats, labels,
+                                               [(train, test)]))
+                except (OSError, ValueError) as exc:
+                    failed[i] = _failure(exc)
+        for i in accs:
+            if i not in failed:
+                rows[i].append(row(names[i], f"{snr:g}", accs[i],
+                                   feats[i].shape[1]))
+    return ExperimentReport(rows=[r for part in rows for r in part],
+                            failures=[(names[i], failed[i])
+                                      for i in sorted(failed)])
+
+
+def _failure(exc):
+    return f"{type(exc).__name__}: {exc}"
 
 
 def sweep_bf_params(config, sigma1_values, sigma2_values, epsilon_values):

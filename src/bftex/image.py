@@ -93,7 +93,8 @@ def load_image(path):
     """Load a grayscale image (PGM mandatory, PNG via Pillow) scaled to [0, 1].
 
     Color inputs are converted to luma with the standard 0.299/0.587/0.114
-    weights before scaling.
+    weights before scaling.  Palette PNGs are looked up to RGB first, and
+    bilevel and gray+alpha PNGs are read as 8-bit gray.
     """
     with open(path, "rb") as f:
         magic = f.read(8)
@@ -106,6 +107,12 @@ def load_image(path):
             raise ImageFormatError(
                 "PNG support requires Pillow (pip install bftex[png])") from None
         with Image.open(path) as im:
+            # palette indices and bilevel bools are not intensities, and
+            # an alpha channel is not a colour
+            if im.mode in ("P", "PA"):
+                im = im.convert("RGB")
+            elif im.mode in ("1", "LA"):
+                im = im.convert("L")
             arr = np.asarray(im)
         # Pillow decodes 16-bit gray as I;16 (uint16) or I (int32),
         # depending on its version

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from bftex.descriptors import MAX_P, neighbor_offsets
+from bftex.descriptors import MAX_P, interior, neighbor_offsets
 
 
 def sample_neighbors(img, x, y, spec):
@@ -76,3 +76,59 @@ def load_csv_matrix(path):
     with open(path, newline="") as f:
         rows = [[float(v) for v in row] for row in csv.reader(f) if row]
     return np.asarray(rows, dtype=np.float64)
+
+
+def float_stack(img, spec):
+    """(..., P, h, w) neighbour stack, each plane filled from the image's
+    2-D windows shifted by the offset, interpolated planes accumulated in
+    place in the order of the written-out bilinear sum.  The package's
+    plane loop over the flattened stack must give it bit for bit."""
+    img = np.asarray(img, dtype=np.float64)
+    m = spec.margin
+    h, w = img.shape[-2:]
+
+    def window(dr, dc):
+        return img[..., m + dr:h - m + dr, m + dc:w - m + dc]
+
+    out = np.empty(img.shape[:-2] + (spec.p, h - 2 * m, w - 2 * m))
+    for k, (dr, dc) in enumerate(neighbor_offsets(spec)):
+        r0, c0 = math.floor(dr), math.floor(dc)
+        fr, fc = dr - r0, dc - c0
+        plane = out[..., k, :, :]
+        if fr == 0.0 and fc == 0.0:
+            plane[...] = window(r0, c0)
+        else:
+            np.multiply((1 - fr) * (1 - fc), window(r0, c0), out=plane)
+            plane += (1 - fr) * fc * window(r0, c0 + 1)
+            plane += fr * (1 - fc) * window(r0 + 1, c0)
+            plane += fr * fc * window(r0 + 1, c0 + 1)
+    return out
+
+
+def float_stack_codes(img, spec, label, planes="SMC"):
+    """(S, M, C) planes of the completed-LBP family from the float stack:
+    sign bits [neighbour - centre >= 0], magnitude bits against each
+    image's mean |neighbour - centre|, centre bit against each image's
+    mean interior intensity; `label` maps a (P, ...) bit stack to labels.
+    Planes not in `planes` are None."""
+    diffs = float_stack(img, spec)
+    center = interior(img, spec)
+    diffs -= center[..., None, :, :]
+    s = label(np.moveaxis(diffs >= 0, -3, 0)) if "S" in planes else None
+    m = None
+    if "M" in planes:
+        mags = np.abs(diffs)
+        m = label(np.moveaxis(
+            mags >= mags.mean(axis=(-3, -2, -1), keepdims=True), -3, 0))
+    c = ((center >= center.mean(axis=(-2, -1), keepdims=True))
+         .astype(np.int32) if "C" in planes else None)
+    return s, m, c
+
+
+def float_stack_ltp_bits(img, spec, t):
+    """LTP's (P, ...) upper [n >= c + t] and lower [n <= c - t] bit stacks
+    from the float stack."""
+    stack = float_stack(img, spec)
+    center = interior(img, spec)[..., None, :, :]
+    return (np.moveaxis(stack >= center + t, -3, 0),
+            np.moveaxis(stack <= center - t, -3, 0))

@@ -283,6 +283,10 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="reference labels .* -1"):
             evaluate(np.zeros((1, 2)), [0], [-1, 0])
 
+    def test_empty_query_set_rejected(self):
+        with pytest.raises(ValueError, match="no queries to evaluate"):
+            evaluate(np.zeros((0, 2)), [], [0, 1])
+
     def test_label_count_must_match_queries(self, rng):
         refs = ReferenceSet(rng.random((2, 4)), [0, 1])
         dist = chi2_matrix(rng.random((3, 4)), refs)

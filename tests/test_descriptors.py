@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from bftex import descriptors as D
 from bftex.image import NonFiniteImageError
 from bftex.retina import BfMaps, bf_preprocess
-from oracles import riu2_map, sample_neighbors
+from oracles import (float_stack, float_stack_codes, float_stack_ltp_bits,
+                     riu2_map, sample_neighbors)
 
 # seeded and small: every run draws the same examples
 FAST = settings(max_examples=25, deadline=None, derandomize=True)
@@ -343,6 +344,94 @@ class TestSchemeOracle:
         assert s is None and m is not None and c is not None
         with pytest.raises(ValueError, match="scheme"):
             D.clbp_codes(img, spec, "X")
+
+
+@st.composite
+def plane_loop_inputs(draw):
+    """(image or stack, spec) for the plane-loop oracle: P 4-24 at an
+    integer or fractional R; tied pixels from integer-valued images and
+    mostly-zero ON maps; C or Fortran order; one 2-D image or a stack."""
+    r = draw(st.one_of(st.sampled_from([1.0, 2.0, 3.0]),
+                       st.floats(0.5, 3.7)))
+    spec = D.NeighborhoodSpec(draw(st.integers(4, 24)), r)
+    need = 2 * spec.margin + 1
+    shape = (draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+             + (draw(st.integers(need, need + 5)),
+                draw(st.integers(need, need + 5))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "integer", "on_map"]))
+    if kind == "random":
+        img = rng.random(shape)
+    elif kind == "integer":
+        img = rng.integers(0, 4, shape).astype(np.float64)
+    else:
+        img = bf_preprocess(rng.random(shape)).plus
+    if draw(st.booleans()):
+        img = np.asfortranarray(img)
+    return img, spec
+
+
+def count_bits(bits):
+    return bits.sum(axis=0).astype(np.int32)
+
+
+class TestPlaneLoopOracle:
+    """The plane loop over the flattened stack gives what the float
+    neighbour stack gives: the stack itself bit for bit, and every code
+    and histogram built from it."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(inputs=plane_loop_inputs())
+    def test_neighbor_stack_bit_for_bit(self, inputs):
+        img, spec = inputs
+        got, want = D.neighbor_stack(img, spec), float_stack(img, spec)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family,scheme",
+                             [("lbp", "S")]
+                             + [(f, s) for f in ("clbp", "clbc")
+                                for s in D.COMBINATION_SCHEMES])
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(inputs=plane_loop_inputs())
+    def test_codes_and_histograms_match_float_stack(self, family, scheme,
+                                                    inputs):
+        img, spec = inputs
+        config = D.DescriptorConfig(family=family, scheme=scheme, p=spec.p,
+                                    r=spec.r)
+        codes, label = ((D.clbc_codes, count_bits) if family == "clbc" else
+                        (D.clbp_codes, D.riu2_from_bits))
+        scheme = config.code_scheme
+        planes = {plane for part in D.COMBINATION_SCHEMES[scheme]
+                  for plane in part}
+        want = float_stack_codes(img, spec, label, planes)
+        got = codes(img, spec, scheme)
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+        hist = D.build_histogram(*want, scheme, config.bins_per_code)
+        np.testing.assert_array_equal(D.extract(img, config), hist)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(inputs=plane_loop_inputs(),
+           t=st.sampled_from([0.0, D.DEFAULT_LTP_T, 0.5, 1.0]))
+    def test_sign_and_ltp_bits_match_float_stack(self, inputs, t):
+        img, spec = inputs
+        (sign,) = D._sign_bits(img, spec)
+        want = float_stack_codes(img, spec, lambda bits: bits, "S")[0]
+        np.testing.assert_array_equal(sign, want)
+        upper, lower = D._sign_bits(img, spec, t)
+        want_upper, want_lower = float_stack_ltp_bits(img, spec, t)
+        np.testing.assert_array_equal(upper, want_upper)
+        np.testing.assert_array_equal(lower, want_lower)
+        b = spec.p + 2
+        counts = [D._hist(D.riu2_from_bits(bits), b)
+                  for bits in (want_upper, want_lower)]
+        np.testing.assert_array_equal(
+            D.ltp_histogram(img, spec, t),
+            D._normalized(np.concatenate(counts, axis=-1)))
 
 
 class TestHistograms:

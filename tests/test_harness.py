@@ -554,6 +554,113 @@ class TestBlockExtraction:
             [f"NonFiniteImageError: {bad}: image has NaN or infinite pixels"] * 2
 
 
+class TestNoiseSharedByPreprocessors:
+    """Each repeat's noise is drawn once for every preprocessor, and what a
+    preprocessor reports does not depend on the others or on the block
+    size."""
+
+    NOISE = NoiseSpec(snr_levels=(10.0, 3.0), repeats=2, seed=6)
+
+    @staticmethod
+    def refuse_noisy_input(monkeypatch, images, name, after):
+        """Make preprocessor `name` raise a ValueError once it has been
+        given more than `after` images that are not clean ones."""
+        clean = {img.tobytes() for img in images}
+        real, noisy = harness.apply_preprocessor, []
+
+        def refusing(img, pname, config):
+            if pname == name:
+                noisy.extend(im for im in img if im.tobytes() not in clean)
+                if len(noisy) > after:
+                    raise ValueError("noisy input refused")
+            return real(img, pname, config)
+
+        monkeypatch.setattr(harness, "apply_preprocessor", refusing)
+
+    @pytest.mark.parametrize("corrupt_train", [False, True])
+    def test_rows_independent_of_order_and_block_size(self, small_suite,
+                                                      monkeypatch,
+                                                      corrupt_train):
+        manifest = load_manifest(small_suite)
+        images = [load_image(p) for p, _ in manifest.samples]
+        per_repeat = 24 if corrupt_train else 12
+        names = ("bf", "none", "dog")
+        runs = []
+        for order in (names, names[::-1], names[1:] + names[:1], ("none",),
+                      ("dog", "bf")):
+            for block_cells in (harness._BLOCK_CELLS, 1):  # 1: an image
+                with monkeypatch.context() as patch:
+                    patch.setattr(harness, "_BLOCK_CELLS", block_cells)
+                    # dog fails in the first repeat of the second level
+                    self.refuse_noisy_input(patch, images, "dog",
+                                            self.NOISE.repeats * per_repeat)
+                    report = run_experiment(
+                        small_config(small_suite, preprocessors=order,
+                                     noise=self.NOISE,
+                                     corrupt_train=corrupt_train),
+                        manifest=manifest, images=images)
+                rows = {}
+                for row in report.rows:
+                    rows.setdefault(row.preprocessor, []).append(
+                        ",".join(row.as_record()))
+                runs.append((rows, dict(report.failures)))
+                assert set(rows) == set(order)
+                assert [row.preprocessor for row in report.rows] == \
+                    [n for n in order for _ in rows[n]]  # preprocessor first
+        rows, failures = runs[0]
+        for run_rows, run_failures in runs[1:]:
+            assert run_rows == {n: rows[n] for n in run_rows}
+            assert run_failures == {n: failures[n] for n in run_failures}
+        assert {n: [r.split(",")[6] for r in rows[n]] for n in names} == {
+            "bf": ["clean", "10", "3"], "none": ["clean", "10", "3"],
+            "dog": ["clean", "10"]}
+        assert failures == {"dog": "ValueError: noisy input refused"}
+
+    @pytest.mark.parametrize("corrupt_train", [False, True])
+    def test_noise_drawn_once_per_repeat(self, small_suite, monkeypatch,
+                                         corrupt_train):
+        manifest = load_manifest(small_suite)
+        images = [load_image(p) for p, _ in manifest.samples]
+        per_repeat = 24 if corrupt_train else 12
+        draws, real = [], harness.add_gaussian_noise
+
+        def counting(img, snr, rng):
+            draws.append(snr)
+            return real(img, snr, rng)
+
+        monkeypatch.setattr(harness, "add_gaussian_noise", counting)
+        for names in (("none",), ("bf", "none"), ("bf", "none", "dog")):
+            draws.clear()
+            with monkeypatch.context() as patch:
+                self.refuse_noisy_input(patch, images, "dog", 0)
+                report = run_experiment(
+                    small_config(small_suite, preprocessors=names,
+                                 noise=self.NOISE,
+                                 corrupt_train=corrupt_train),
+                    manifest=manifest, images=images)
+            assert len(report.rows) == 3 * len(set(names) - {"dog"}) + \
+                ("dog" in names)
+            assert draws == [snr for snr in self.NOISE.snr_levels
+                             for _ in range(self.NOISE.repeats * per_repeat)]
+
+    def test_failed_noise_draw_fails_every_preprocessor(self, small_suite,
+                                                        monkeypatch):
+        real = harness.add_gaussian_noise
+
+        def failing(img, snr, rng):
+            if snr == 3.0:
+                raise ValueError("no noise today")
+            return real(img, snr, rng)
+
+        monkeypatch.setattr(harness, "add_gaussian_noise", failing)
+        report = run_experiment(small_config(
+            small_suite, preprocessors=("bf", "none"), noise=self.NOISE))
+        assert [(r.preprocessor, r.snr) for r in report.rows] == [
+            ("bf", "clean"), ("bf", "10"), ("none", "clean"), ("none", "10")]
+        assert report.failures == [("bf", "ValueError: no noise today"),
+                                   ("none", "ValueError: no noise today")]
+
+
 class TestSweep:
     def test_invalid_pairs_skipped(self, small_suite):
         report = sweep_bf_params(small_config(small_suite), [3.0, 1.0], [2.0],

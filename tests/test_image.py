@@ -88,20 +88,27 @@ class TestPgmIO:
         assert not p.exists()
 
 
-def write_png(path, pixels, bit_depth):
-    """Write a (h, w) gray or (h, w, 3) RGB array of ints as an unfiltered,
-    non-interlaced PNG, without Pillow."""
+def write_png(path, pixels, bit_depth, color_type=None, palette=None):
+    """Write an array of ints as an unfiltered, non-interlaced PNG, without
+    Pillow: (h, w) gray or (h, w, 3) RGB by default, or the given PNG colour
+    type (3 palette indices with `palette` as (n, 3) RGB entries, 4 gray
+    and alpha as (h, w, 2)).  Bit depth 1 packs eight pixels a byte."""
     pixels = np.asarray(pixels, dtype=">u2" if bit_depth == 16 else np.uint8)
     h, w = pixels.shape[:2]
-    color_type = 2 if pixels.ndim == 3 else 0
+    if color_type is None:
+        color_type = 2 if pixels.ndim == 3 else 0
+    if bit_depth == 1:
+        pixels = np.packbits(pixels, axis=1)
 
     def chunk(kind, data):
         return (struct.pack(">I", len(data)) + kind + data
                 + struct.pack(">I", zlib.crc32(kind + data)))
 
     ihdr = struct.pack(">IIBBBBB", w, h, bit_depth, color_type, 0, 0, 0)
+    plte = (b"" if palette is None else
+            chunk(b"PLTE", np.asarray(palette, dtype=np.uint8).tobytes()))
     scanlines = b"".join(b"\0" + row.tobytes() for row in pixels)
-    path.write_bytes(b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+    path.write_bytes(b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + plte
                      + chunk(b"IDAT", zlib.compress(scanlines))
                      + chunk(b"IEND", b""))
 
@@ -127,6 +134,27 @@ class TestPngIO:
                 ("rgb", rgb, 8, luma / 255.0)):
             p = tmp_path / f"{name}.png"
             write_png(p, pixels, bit_depth)
+            img = load_image(p)
+            assert img.dtype == np.float64 and img.shape == (2, 3), name
+            np.testing.assert_allclose(img, want, rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    def test_palette_bilevel_and_alpha_read_as_intensities(self, tmp_path):
+        pytest.importorskip("PIL")
+        palette = np.array([[255, 0, 0], [0, 0, 255], [10, 200, 30]])
+        index = np.array([[0, 1, 2], [2, 2, 0]])
+        luma = sum(w * palette[index][..., c]
+                   for c, w in enumerate(LUMA_WEIGHTS))
+        bilevel = np.array([[1, 0, 1], [0, 0, 1]])
+        gray = np.array([[0, 255, 128], [64, 1, 254]])
+        gray_alpha = np.stack([gray, 255 - gray], axis=-1)
+        for name, pixels, bit_depth, color_type, want in (
+                ("palette", index, 8, 3, luma / 255.0),
+                ("bilevel", bilevel, 1, 0, bilevel * 1.0),
+                ("gray_alpha", gray_alpha, 8, 4, gray / 255.0)):
+            p = tmp_path / f"{name}.png"
+            write_png(p, pixels, bit_depth, color_type,
+                      palette if color_type == 3 else None)
             img = load_image(p)
             assert img.dtype == np.float64 and img.shape == (2, 3), name
             np.testing.assert_allclose(img, want, rtol=0, atol=1e-12,
