@@ -10,7 +10,8 @@ feature size.
 Every function takes one image or a stack whose last two axes are the
 image, and encodes each image of a stack alone: per-image results gain
 the stack's leading axes, so a histogram of an (N, H, W) stack is an
-(N, bins) array.
+(N, bins) array.  A NaN or infinite pixel raises a NonFiniteImageError
+whose index is the first such image's place in the stack.
 """
 
 import math
@@ -119,14 +120,6 @@ def neighbor_offsets(spec):
     return offsets
 
 
-def _check_size(img, spec):
-    h, w = img.shape[-2:]
-    need = 2 * spec.margin + 1
-    if h < need or w < need:
-        raise ValueError(f"image {w}x{h} too small for R={spec.r} "
-                         f"(need at least {need}x{need})")
-
-
 def _shifted(img, m, dr, dc):
     """Interior window of each image shifted by integer (dr, dc)."""
     h, w = img.shape[-2:]
@@ -177,17 +170,23 @@ def _neighbor_planes(img, spec):
         yield run, plane
 
 
-def _contiguous(img, spec):
-    """The stack as C-contiguous float64, large enough for spec."""
+def _checked(img, spec):
+    """The stack as C-contiguous float64, once no image has a NaN or
+    infinite pixel (see check_finite) and each is large enough for spec."""
     img = np.ascontiguousarray(img, dtype=np.float64)
-    _check_size(img, spec)
+    check_finite(img)
+    h, w = img.shape[-2:]
+    need = 2 * spec.margin + 1
+    if h < need or w < need:
+        raise ValueError(f"image {w}x{h} too small for R={spec.r} "
+                         f"(need at least {need}x{need})")
     return img
 
 
 def neighbor_stack(img, spec):
     """(..., P, H-2m, W-2m) array of neighbor samples for every interior
     pixel, image-major: the P samples of one image are contiguous."""
-    img = _contiguous(img, spec)
+    img = _checked(img, spec)
     m = spec.margin
     h, w = img.shape[-2:]
     out = np.empty(img.shape[:-2] + (spec.p, h - 2 * m, w - 2 * m))
@@ -201,7 +200,7 @@ def _sign_bits(img, spec, t=None):
     run, with no float neighbour stack: [neighbour >= centre], or with an
     LTP threshold t the pair [neighbour >= centre + t] and
     [neighbour <= centre - t].  Bit k of a pixel is neighbour k's."""
-    img = _contiguous(img, spec)
+    img = _checked(img, spec)
     m = spec.margin
     h, w = img.shape[-2:]
     first, n = _run_bounds(img.shape, spec)
@@ -277,8 +276,7 @@ def _codes(img, spec, scheme, label):
     intensity.  `label` turns a (P, ...) bit stack into per-pixel labels.
     """
     planes = {plane for part in _parts(scheme) for plane in part}
-    img = np.asarray(img, dtype=np.float64)
-    _check_size(img, spec)
+    img = _checked(img, spec)
     center = interior(img, spec)
     s = m = None
     if "M" in planes:  # thresholded by the mean over the whole stack
@@ -374,8 +372,7 @@ def wld_histogram(img):
     division.
     """
     spec = NeighborhoodSpec(p=8, r=1.0)
-    img = np.asarray(img, dtype=np.float64)
-    _check_size(img, spec)
+    img = _checked(img, spec)
     m = spec.margin
     center = interior(img, spec)
     ring = sum(_shifted(img, m, dr, dc)
@@ -427,10 +424,7 @@ def extract(source, config):
     renormalized.  An image or map with a NaN or infinite pixel is rejected.
     """
     if isinstance(source, BfMaps):
-        check_finite(source.plus)
-        check_finite(source.minus)
         return _normalized(np.concatenate([_histogram(source.plus, config),
                                            _histogram(source.minus, config)],
                                           axis=-1))
-    check_finite(source)
     return _histogram(source, config)

@@ -120,6 +120,9 @@ class SplitPolicy:
             raise ConfigError(f"unknown split mode {self.mode!r}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
+        if self.mode == "predefined" and self.repeats > 1:
+            raise ConfigError(f"a predefined split is one split, got "
+                              f"repeats={self.repeats}")
 
 
 @dataclass(frozen=True)
@@ -210,9 +213,13 @@ class ExperimentConfig:
     include_timing: bool = False
 
     def __post_init__(self):
-        unknown = set(self.preprocessors) - set(baselines.BASELINE_NAMES)
+        names = self.preprocessors
+        unknown = set(names) - set(baselines.BASELINE_NAMES)
         if unknown:
             raise ConfigError(f"unknown preprocessors: {sorted(unknown)}")
+        repeated = {name for name in names if names.count(name) > 1}
+        if repeated:
+            raise ConfigError(f"repeated preprocessors: {sorted(repeated)}")
         for name in ("gamma", "deriv_sigma"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
@@ -361,31 +368,34 @@ def run_experiment(config, manifest=None, images=None):
             mean_accuracy=float(np.mean(accs)), std_accuracy=std,
             feature_size=fsize, extract_ms=extract_ms, match_ms=match_ms)
 
-    # by preprocessor index: clean features, rows, failure message; the
-    # loops run level, repeat, preprocessor so that each repeat's noise is
-    # drawn once, and the rows are still reported preprocessor first
+    # by preprocessor name; the loops run level, repeat, preprocessor so that
+    # each repeat's noise is drawn once, yet rows list preprocessor first
     names = config.preprocessors
-    feats, rows, failed = {}, [[] for _ in names], {}
-    for i, name in enumerate(names):
+    feats, rows, failed = {}, {name: [] for name in names}, {}
+
+    def fail(name, exc):  # keeps its finished rows, drops its features
+        failed[name] = f"{type(exc).__name__}: {exc}"
+        feats.pop(name, None)
+
+    for name in names:
         try:
             t0 = time.perf_counter()
-            feats[i] = _extract_features(images, paths, name, config)
+            feats[name] = _extract_features(images, paths, name, config)
             t1 = time.perf_counter()
-            accs = _run_splits(feats[i], labels, splits)
+            accs = _run_splits(feats[name], labels, splits)
             timing = ()
             if config.include_timing:  # mean ms per image and per query
                 timing = ((t1 - t0) * 1000.0 / len(images),
                           (time.perf_counter() - t1) * 1000.0
                           / sum(len(test) for _, test in splits))
-            rows[i].append(row(name, "clean", accs, feats[i].shape[1],
-                               *timing))
+            rows[name].append(row(name, "clean", accs, feats[name].shape[1],
+                                  *timing))
         except (OSError, ValueError) as exc:  # keep remaining rows running
-            failed[i] = _failure(exc)
+            fail(name, exc)
     for li, snr in enumerate(config.noise.snr_levels if config.noise else ()):
-        accs = {i: [] for i in feats if i not in failed}
+        accs = {name: [] for name in feats}
         for rep in range(config.noise.repeats):
-            live = [i for i in accs if i not in failed]
-            if not live:
+            if not feats:
                 break
             train, test = splits[rep % len(splits)]
             rng = _rng(config.noise.seed, li, rep)
@@ -396,29 +406,24 @@ def run_experiment(config, manifest=None, images=None):
                 noisy = [add_gaussian_noise(images[j], snr, rng)
                          for j in corrupted]
             except (OSError, ValueError) as exc:  # the same for each
-                failed.update((i, _failure(exc)) for i in live)
+                for name in list(feats):
+                    fail(name, exc)
                 break
-            for i in live:
+            for name in list(feats):
                 try:
-                    nfeats = feats[i].copy()
+                    nfeats = feats[name].copy()
                     nfeats[corrupted] = _extract_features(
-                        noisy, [paths[j] for j in corrupted], names[i],
-                        config)
-                    accs[i].extend(_run_splits(nfeats, labels,
-                                               [(train, test)]))
+                        noisy, [paths[j] for j in corrupted], name, config)
+                    accs[name].extend(_run_splits(nfeats, labels,
+                                                  [(train, test)]))
                 except (OSError, ValueError) as exc:
-                    failed[i] = _failure(exc)
-        for i in accs:
-            if i not in failed:
-                rows[i].append(row(names[i], f"{snr:g}", accs[i],
-                                   feats[i].shape[1]))
-    return ExperimentReport(rows=[r for part in rows for r in part],
-                            failures=[(names[i], failed[i])
-                                      for i in sorted(failed)])
-
-
-def _failure(exc):
-    return f"{type(exc).__name__}: {exc}"
+                    fail(name, exc)
+        for name in feats:
+            rows[name].append(row(name, f"{snr:g}", accs[name],
+                                  feats[name].shape[1]))
+    return ExperimentReport(rows=[r for name in names for r in rows[name]],
+                            failures=[(name, failed[name]) for name in names
+                                      if name in failed])
 
 
 def sweep_bf_params(config, sigma1_values, sigma2_values, epsilon_values):
@@ -559,7 +564,7 @@ def build_experiment_config(values, base_dir="."):
     """ExperimentConfig from a flat key-value dict (see parse_config_file).
 
     The manifest path is resolved against base_dir.  Noise rows run only
-    when snr_levels is given.
+    when snr_levels is given; the other noise keys need it.
     """
     check_keys(values, EXPERIMENT_KEYS)
     if "manifest" not in values:
@@ -570,8 +575,8 @@ def build_experiment_config(values, base_dir="."):
             parts.setdefault(part, {})[name] = _get(values, key, conv)
     top = parts.pop(None)
     top["manifest_path"] = os.path.join(base_dir, top["manifest_path"])
-    if "snr_levels" not in values:
-        parts.pop("noise", None)
+    if "noise" in parts and "snr_levels" not in values:
+        raise ConfigError("noise_repeats and noise_seed need snr_levels")
     try:
         return ExperimentConfig(**top, **{part: _PART_TYPES[part](**kw)
                                           for part, kw in parts.items()})

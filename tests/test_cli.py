@@ -238,6 +238,28 @@ class TestExperimentCommand:
         assert captured.out == ""
         assert f"error: {message}" in captured.err
 
+    @pytest.mark.parametrize("setting,message", [
+        ("preprocessor = bf,none,bf", "repeated preprocessors: ['bf']"),
+        ("noise_repeats = 2", "noise_repeats and noise_seed need snr_levels"),
+        ("noise_seed = 4", "noise_repeats and noise_seed need snr_levels"),
+        ("mode = predefined\nrepeats = 2",
+         "a predefined split is one split, got repeats=2"),
+    ])
+    def test_config_rejected_before_running(self, tmp_path, capsys, setting,
+                                            message):
+        # each would otherwise exit 0 and silently drop or double rows
+        manifest = generate_suite(tmp_path / "suite", n_classes=2,
+                                  per_class=3, size=24, seed=0)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"manifest = {manifest}\nn_train = 1\n{setting}\n")
+        out = tmp_path / "report.csv"
+        assert run_cli(["experiment", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+        assert not out.exists()
+
     def test_one_sided_predefined_split_is_usage_error(self, tmp_path,
                                                        capsys):
         manifest = Path(generate_suite(tmp_path / "suite", n_classes=3,

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -599,3 +600,42 @@ class TestValidation:
         assert D.neighbor_offsets(D.NeighborhoodSpec(p=8, r=1.0)) is offsets
         with pytest.raises(ValueError):
             offsets[0, 0] = 5.0
+
+
+# Every public function that reads pixels, as a call on (img, spec).
+PIXEL_READERS = {
+    "neighbor_stack": D.neighbor_stack,
+    **{f"{codes.__name__}[{scheme}]": partial(codes, scheme=scheme)
+       for codes in (D.clbp_codes, D.clbc_codes)
+       for scheme in ("S", "M", "S/M/C")},
+    "ltp_histogram": D.ltp_histogram,
+    "wld_histogram": lambda img, spec: D.wld_histogram(img),
+}
+
+
+class TestNonFiniteInput:
+    """Each descriptor function rejects NaN and infinite pixels itself, not
+    only through extract."""
+
+    @pytest.mark.parametrize("name", PIXEL_READERS)
+    def test_infinite_centre_rejected(self, name):
+        # unchecked, sign codes label this image [[9, 7, 9], [7, 8, 7],
+        # [9, 7, 9]], as inf >= inf is true
+        img = np.zeros((7, 7))
+        img[2:5, 2:5] = np.inf
+        with pytest.raises(NonFiniteImageError,
+                           match="^image has NaN or infinite pixels$") as exc:
+            PIXEL_READERS[name](img, D.NeighborhoodSpec(8, 1.0))
+        assert exc.value.index is None
+
+    @pytest.mark.parametrize("name", PIXEL_READERS)
+    def test_stack_error_names_first_bad_image(self, name, rng):
+        stack = rng.random((2, 3, 9, 9))
+        stack[1, 0, 4, 4] = np.nan  # image 3 along the flattened lead axes
+        stack[1, 2, 0, 0] = np.inf
+        with pytest.raises(NonFiniteImageError,
+                           match="image 3 of the stack") as exc:
+            PIXEL_READERS[name](stack, D.NeighborhoodSpec(8, 1.0))
+        assert exc.value.index == 3
+        # the finite images alone are accepted
+        PIXEL_READERS[name](stack[0], D.NeighborhoodSpec(8, 1.0))

@@ -135,6 +135,12 @@ class TestSplits:
         with pytest.raises(ConfigError, match=f"has no {empty} sample"):
             make_splits(m, SplitPolicy(mode="predefined"))
 
+    def test_predefined_split_is_not_repeated(self):
+        # it would silently give one split however many were asked for
+        SplitPolicy(mode="predefined", repeats=1)
+        with pytest.raises(ConfigError, match="got repeats=3"):
+            SplitPolicy(mode="predefined", repeats=3)
+
 
 class TestNoise:
     def test_huge_snr_is_identity(self, rng):
@@ -494,6 +500,12 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             small_config(small_suite, preprocessors=("nope",))
 
+    def test_repeated_preprocessor_rejected(self, small_suite):
+        # it would run twice and report two identical sets of rows
+        with pytest.raises(ConfigError,
+                           match=r"repeated preprocessors: \['bf'\]"):
+            small_config(small_suite, preprocessors=("bf", "none", "bf"))
+
 
 BLOCK_DESCRIPTORS = {
     "lbp": DescriptorConfig(family="lbp", p=8, r=1.0),
@@ -765,7 +777,7 @@ class TestConfigFiles:
             "family": "clbc", "scheme": "S_M/C", "p": "16", "r": "2",
             "ltp_t": "0.01", "sigma1": "0.5", "sigma2": "3", "epsilon": "0",
             "gamma": "1.8", "deriv_sigma": "2", "mode": "predefined",
-            "n_train": "4", "repeats": "3", "seed": "1", "snr_levels": "7",
+            "n_train": "4", "repeats": "1", "seed": "1", "snr_levels": "7",
             "noise_repeats": "2", "noise_seed": "5", "corrupt_train": "yes",
             "timing": "no"}
         assert set(values) == set(harness.EXPERIMENT_KEYS)
@@ -806,14 +818,22 @@ class TestConfigFiles:
                     replace(base, **{part: replace(getattr(base, part),
                                                    **{name: value})}))
             assert build(**{key: text}) == want, key
-        # noise settings alone add no noise rows, but must still parse
-        assert build(noise_repeats="2", noise_seed="5") == base
+        # a bad noise value is named even without snr_levels
         with pytest.raises(ConfigError, match="'noise_repeats'"):
             build(noise_repeats="two")
         assert build(snr_levels="7", noise_repeats="2", noise_seed="5").noise \
             == NoiseSpec(snr_levels=(7.0,), repeats=2, seed=5)
         assert set(self.ONE_KEY) | {"manifest", "noise_repeats",
                                     "noise_seed"} == set(harness.EXPERIMENT_KEYS)
+
+    @pytest.mark.parametrize("keys", [("noise_repeats",), ("noise_seed",),
+                                      ("noise_repeats", "noise_seed")])
+    def test_noise_keys_need_snr_levels(self, keys):
+        # without levels they would silently add no noise rows
+        with pytest.raises(ConfigError, match="noise_repeats and noise_seed "
+                                              "need snr_levels"):
+            build_experiment_config({"manifest": "m.txt",
+                                     **{key: "2" for key in keys}})
 
     def test_absolute_manifest_path_kept(self, tmp_path):
         manifest = str(tmp_path / "suite" / "m.txt")
