@@ -1,5 +1,8 @@
 """Chi-square histogram distance and nearest-neighbor classification."""
 
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,33 +90,65 @@ def _chi2_triangle(refs):
     return _chi2_blocks(refs.histograms, refs.histograms, symmetric=True)
 
 
+def _cpu_count():
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, so ``taskset`` limits the chi2 kernel's threads."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _chi2_blocks(queries, hists, symmetric=False):
     """The chi2 kernel.  Reference rows go through in fixed blocks, so the
-    scratch stays bounded and is allocated once per call.
+    scratch stays bounded and is allocated once per worker.
 
     With non-negative bins, h + q = 0 only where h = q = 0; that term is
     0/0 = NaN, and fmax turns it into 0.  With ``symmetric`` (queries are
     the references), a block is compared only with the queries up to its
     end, and its columns are then mirrored into its rows.
+
+    The blocks run on one thread per CPU, heaviest first (a triangle block
+    costs in proportion to its end row), as each numpy call releases the
+    GIL.  A block writes only its own columns and their mirror, cells no
+    other block touches, so the result is bit-identical to a serial loop.
+    One block or one query runs inline, with no pool.
     """
     n, d = hists.shape
     block = min(n, max(1, _BLOCK_CELLS // max(d, 1)))
-    den, terms = np.empty((block, d)), np.empty((block, d))
     dist = np.empty((len(queries), n))
-    with np.errstate(invalid="ignore"):
-        for j0 in range(0, n, block):
-            j1 = min(n, j0 + block)
-            h = hists[j0:j1]
-            bden, bterms = den[:j1 - j0], terms[:j1 - j0]
-            for i, q in enumerate(queries[:j1] if symmetric else queries):
-                np.add(h, q, out=bden)
-                np.subtract(h, q, out=bterms)
-                np.square(bterms, out=bterms)
-                np.divide(bterms, bden, out=bterms)
-                np.fmax(bterms, 0.0, out=bterms)
-                bterms.sum(axis=1, out=dist[i, j0:j1])
-            if symmetric:
-                dist[j0:j1, :j0] = dist[:j0, j0:j1].T
+    starts = range(0, n, block)
+    if symmetric:
+        starts = starts[::-1]
+
+    def work(todo):
+        den, terms = np.empty((block, d)), np.empty((block, d))
+        # errstate is per thread, so each worker enters its own
+        with np.errstate(invalid="ignore"):
+            for j0 in todo:
+                j1 = min(n, j0 + block)
+                h = hists[j0:j1]
+                bden, bterms = den[:j1 - j0], terms[:j1 - j0]
+                for i, q in enumerate(queries[:j1] if symmetric else queries):
+                    np.add(h, q, out=bden)
+                    np.subtract(h, q, out=bterms)
+                    np.square(bterms, out=bterms)
+                    np.divide(bterms, bden, out=bterms)
+                    np.fmax(bterms, 0.0, out=bterms)
+                    bterms.sum(axis=1, out=dist[i, j0:j1])
+                if symmetric:
+                    dist[j0:j1, :j0] = dist[:j0, j0:j1].T
+
+    workers = min(_cpu_count(), len(starts)) if len(queries) > 1 else 1
+    if workers == 1:
+        work(starts)
+        return dist
+    todo = queue.SimpleQueue()  # each worker takes the next block start
+    for j0 in [*starts, *[None] * workers]:
+        todo.put(j0)
+    with ThreadPoolExecutor(workers) as pool:
+        for future in [pool.submit(work, iter(todo.get, None))
+                       for _ in range(workers)]:
+            future.result()
     return dist
 
 

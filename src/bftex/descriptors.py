@@ -82,9 +82,12 @@ class DescriptorConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family in ("lbp", "clbp", "clbc") and \
-                self.scheme not in COMBINATION_SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.family in ("clbp", "clbc"):
+            if self.scheme not in COMBINATION_SCHEMES:
+                raise ValueError(f"unknown scheme {self.scheme!r}")
+        elif self.scheme != "S":  # lbp is CLBP's S plane; ltp, wld read none
+            raise ValueError(f"family {self.family!r} takes only scheme "
+                             f"'S', got {self.scheme!r}")
         NeighborhoodSpec(self.p, self.r)  # rejects out-of-range P and R
         if not 0 <= self.ltp_t < math.inf:
             raise ValueError(f"ltp_t must be in [0, inf), got {self.ltp_t}")
@@ -92,11 +95,6 @@ class DescriptorConfig:
     @property
     def spec(self):
         return NeighborhoodSpec(self.p, self.r)
-
-    @property
-    def code_scheme(self):
-        """Combination scheme of the codes: plain LBP is CLBP's S plane."""
-        return "S" if self.family == "lbp" else self.scheme
 
     @property
     def bins_per_code(self):
@@ -399,8 +397,8 @@ def _histogram(img, config):
     if config.family == "wld":
         return wld_histogram(img)
     codes = clbc_codes if config.family == "clbc" else clbp_codes
-    return build_histogram(*codes(img, config.spec, config.code_scheme),
-                           config.code_scheme, config.bins_per_code)
+    return build_histogram(*codes(img, config.spec, config.scheme),
+                           config.scheme, config.bins_per_code)
 
 
 def feature_size(config, on_maps=False):
@@ -410,7 +408,7 @@ def feature_size(config, on_maps=False):
     elif config.family == "ltp":
         n = 2 * config.bins_per_code
     else:
-        n = _scheme_size(config.code_scheme, config.bins_per_code)
+        n = _scheme_size(config.scheme, config.bins_per_code)
     return 2 * n if on_maps else n
 
 

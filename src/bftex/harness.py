@@ -564,7 +564,8 @@ def build_experiment_config(values, base_dir="."):
     """ExperimentConfig from a flat key-value dict (see parse_config_file).
 
     The manifest path is resolved against base_dir.  Noise rows run only
-    when snr_levels is given; the other noise keys need it.
+    when snr_levels is given; the other noise keys need it.  n_train and
+    seed apply to random splits only.
     """
     check_keys(values, EXPERIMENT_KEYS)
     if "manifest" not in values:
@@ -578,12 +579,18 @@ def build_experiment_config(values, base_dir="."):
     if "noise" in parts and "snr_levels" not in values:
         raise ConfigError("noise_repeats and noise_seed need snr_levels")
     try:
-        return ExperimentConfig(**top, **{part: _PART_TYPES[part](**kw)
-                                          for part, kw in parts.items()})
+        config = ExperimentConfig(**top, **{part: _PART_TYPES[part](**kw)
+                                            for part, kw in parts.items()})
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if config.split.mode == "predefined":
+        for key in ("n_train", "seed"):  # make_splits reads neither
+            if key in values:
+                raise ConfigError(f"'{key}' applies to random splits only, "
+                                  f"not mode = predefined")
+    return config
 
 
 def build_sweep_grid(values):

@@ -1,3 +1,7 @@
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +159,76 @@ class TestChi2Matrix:
             chi2_matrix(rng.random(4), refs)
         with pytest.raises(ValueError, match="reference dims"):
             chi2_matrix(rng.random((2, 5)), refs)
+
+
+class TestChi2Pool:
+    """Reference blocks run on one thread per CPU, bit for bit as the
+    serial loop."""
+
+    # wide enough rows for numpy to release the GIL; at 8 rows a block,
+    # 43 references make six blocks
+    D = 600
+
+    def inputs(self, rng, m):
+        n, d = 43, self.D
+        hists = rng.random((n, d)) * 10.0 ** rng.integers(-6, 3, size=(n, 1))
+        hists[rng.random((n, d)) < 0.5] = 0.0
+        queries = rng.random((m, d))
+        zero_cols = np.arange(0, d, 5)  # every term there is 0/0
+        hists[:, zero_cols] = queries[:, zero_cols] = 0.0
+        hists[[9, 41]] = hists[2]  # duplicates in three different blocks
+        queries[0] = hists[2]
+        return queries, ReferenceSet(hists, np.zeros(n, int))
+
+    @pytest.mark.parametrize("m", [1, 3, 43])
+    def test_any_worker_count_gives_serial_bits(self, rng, monkeypatch, m):
+        monkeypatch.setattr(classify, "_BLOCK_CELLS", 8 * self.D)
+        queries, refs = self.inputs(rng, m)
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for workers in (1, 2, 64):  # 64 > six blocks > two CPUs
+                monkeypatch.setattr(classify, "_cpu_count", lambda: workers)
+                got[workers] = (chi2_matrix(queries, refs),
+                                classify._chi2_triangle(refs))
+        finally:
+            sys.setswitchinterval(interval)
+        want = np.array([[chi2(h, q) for h in refs.histograms]
+                         for q in queries])
+        assert np.array_equal(got[1][0], want)
+        assert got[1][0][0, 2] == got[1][0][0, 9] == got[1][0][0, 41] == 0.0
+        for matrix, triangle in got.values():
+            assert np.array_equal(matrix, got[1][0])
+            assert np.array_equal(triangle, got[1][1])
+        assert np.array_equal(got[1][1], chi2_matrix(refs.histograms, refs))
+
+    def test_one_block_or_one_query_starts_no_pool(self, rng, monkeypatch):
+        pools = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(classify, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(classify, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(classify, "_BLOCK_CELLS", 8 * self.D)
+        queries, refs = self.inputs(rng, 3)
+        one_block = ReferenceSet(refs.histograms[:8], refs.labels[:8])
+        chi2_matrix(queries, one_block)
+        classify._chi2_triangle(one_block)
+        chi2_matrix(queries[:1], refs)
+        nn_classify(queries[1], refs)
+        assert pools == []
+        chi2_matrix(queries, refs)
+        classify._chi2_triangle(refs)
+        assert pools == [4, 4]  # never more workers than CPUs
+
+    def test_worker_count_is_the_affinity_mask(self):
+        want = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count())
+        assert classify._cpu_count() == want >= 1
 
 
 class TestNnClassify:

@@ -244,6 +244,10 @@ class TestExperimentCommand:
         ("noise_seed = 4", "noise_repeats and noise_seed need snr_levels"),
         ("mode = predefined\nrepeats = 2",
          "a predefined split is one split, got repeats=2"),
+        ("mode = predefined",
+         "'n_train' applies to random splits only, not mode = predefined"),
+        ("family = wld\nscheme = S_M",
+         "family 'wld' takes only scheme 'S', got 'S_M'"),
     ])
     def test_config_rejected_before_running(self, tmp_path, capsys, setting,
                                             message):

@@ -301,14 +301,13 @@ def reference_extract(source, config):
     codes, b = {"lbp": (D.clbp_codes, config.p + 2),
                 "clbp": (D.clbp_codes, config.p + 2),
                 "clbc": (D.clbc_codes, config.p + 1)}[config.family]
-    scheme = "S" if config.family == "lbp" else config.scheme
 
     def normalized(bins):
         return bins / bins.sum()
 
     def single(img):
         return normalized(reference_histogram(*codes(img, config.spec),
-                                              scheme, b))
+                                              config.scheme, b))
 
     if hasattr(source, "plus"):
         return normalized(np.concatenate([single(source.plus),
@@ -325,8 +324,13 @@ class TestSchemeOracle:
            seed=st.integers(0, 2**32 - 1))
     def test_extract_matches_all_plane_reference(self, family, scheme, p,
                                                  on_maps, size, seed):
-        config = D.DescriptorConfig(family=family, scheme=scheme, p=p,
-                                    r={4: 1.0, 8: 1.0, 16: 2.0, 24: 3.0}[p])
+        r = {4: 1.0, 8: 1.0, 16: 2.0, 24: 3.0}[p]
+        if family == "lbp" and scheme != "S":
+            # plain LBP is CLBP's S plane, so no other scheme is accepted
+            with pytest.raises(ValueError, match="takes only scheme 'S'"):
+                D.DescriptorConfig(family=family, scheme=scheme, p=p, r=r)
+            return
+        config = D.DescriptorConfig(family=family, scheme=scheme, p=p, r=r)
         img = np.random.default_rng(seed).random((size, size))
         source = bf_preprocess(img) if on_maps else img
         hist = D.extract(source, config)
@@ -402,7 +406,6 @@ class TestPlaneLoopOracle:
                                     r=spec.r)
         codes, label = ((D.clbc_codes, count_bits) if family == "clbc" else
                         (D.clbp_codes, D.riu2_from_bits))
-        scheme = config.code_scheme
         planes = {plane for part in D.COMBINATION_SCHEMES[scheme]
                   for plane in part}
         want = float_stack_codes(img, spec, label, planes)
@@ -549,7 +552,8 @@ class TestExtract:
     def test_returns_plain_float64_array(self, rng):
         img = rng.random((12, 12))
         for family in D.FAMILIES:
-            config = D.DescriptorConfig(family=family, scheme="S/M")
+            scheme = "S/M" if family in ("clbp", "clbc") else "S"
+            config = D.DescriptorConfig(family=family, scheme=scheme)
             for source in (img, bf_preprocess(img)):
                 hist = D.extract(source, config)
                 assert type(hist) is np.ndarray
@@ -586,6 +590,16 @@ class TestValidation:
             D.DescriptorConfig(family="sift")
         with pytest.raises(ValueError):
             D.DescriptorConfig(family="clbp", scheme="Q")
+
+    @pytest.mark.parametrize("family", ["lbp", "ltp", "wld"])
+    @pytest.mark.parametrize("scheme", ["S/M/C", "S_M", "M", "Q"])
+    def test_scheme_other_than_s_rejected(self, family, scheme):
+        # these families read no combination scheme, so a report naming
+        # one would describe a histogram that was never built
+        D.DescriptorConfig(family=family, scheme="S")
+        with pytest.raises(ValueError, match=f"family '{family}' takes only "
+                                             f"scheme 'S', got '{scheme}'"):
+            D.DescriptorConfig(family=family, scheme=scheme)
 
     def test_p_above_24_rejected(self):
         D.NeighborhoodSpec(p=24, r=3.0)

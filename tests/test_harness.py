@@ -776,7 +776,7 @@ class TestConfigFiles:
             "manifest": "m.txt", "suite": "s", "preprocessor": "bf,gamma",
             "family": "clbc", "scheme": "S_M/C", "p": "16", "r": "2",
             "ltp_t": "0.01", "sigma1": "0.5", "sigma2": "3", "epsilon": "0",
-            "gamma": "1.8", "deriv_sigma": "2", "mode": "predefined",
+            "gamma": "1.8", "deriv_sigma": "2", "mode": "random",
             "n_train": "4", "repeats": "1", "seed": "1", "snr_levels": "7",
             "noise_repeats": "2", "noise_seed": "5", "corrupt_train": "yes",
             "timing": "no"}
@@ -790,7 +790,8 @@ class TestConfigFiles:
         "suite": ("s", None, "suite", "s"),
         "preprocessor": ("bf, gamma", None, "preprocessors", ("bf", "gamma")),
         "family": ("clbc", "descriptor", "family", "clbc"),
-        "scheme": ("S_M/C", "descriptor", "scheme", "S_M/C"),
+        # the default family, lbp, takes only S
+        "scheme": ("S", "descriptor", "scheme", "S"),
         "p": ("16", "descriptor", "p", 16),
         "r": ("2", "descriptor", "r", 2.0),
         "ltp_t": ("0.01", "descriptor", "ltp_t", 0.01),
@@ -834,6 +835,15 @@ class TestConfigFiles:
                                               "need snr_levels"):
             build_experiment_config({"manifest": "m.txt",
                                      **{key: "2" for key in keys}})
+
+    @pytest.mark.parametrize("key,value", [("n_train", "4"), ("seed", "0")])
+    def test_random_split_keys_rejected_with_predefined(self, key, value):
+        # make_splits reads neither for a predefined split
+        values = {"manifest": "m.txt", key: value}
+        assert build_experiment_config(values).split.mode == "random"
+        with pytest.raises(ConfigError, match=f"'{key}' applies to random "
+                                              f"splits only"):
+            build_experiment_config({**values, "mode": "predefined"})
 
     def test_absolute_manifest_path_kept(self, tmp_path):
         manifest = str(tmp_path / "suite" / "m.txt")
