@@ -1,7 +1,7 @@
 """Chi-square histogram distance and nearest-neighbor classification."""
 
 import os
-import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -61,6 +61,13 @@ def chi2(h, k):
 # so a block and its scratch stay in a core's L2 cache.
 _BLOCK_CELLS = 1 << 15
 
+# Query x reference x bin cells from which _chi2_blocks starts its thread
+# pool.  On 2 CPUs, calls of 0.15 to 0.75 million cells ran 0.4 to 1 ms
+# slower on the pool than inline, calls of about a million ran about even,
+# and larger calls ran faster on it, with one query or many (one query
+# against 4320 references of 648 bins: 12.0 ms inline, 8.5 ms pooled).
+_POOL_CELLS = 1 << 20
+
 
 def chi2_matrix(queries, refs):
     """(m, n) chi-square distances from every query row to every reference.
@@ -107,11 +114,14 @@ def _chi2_blocks(queries, hists, symmetric=False):
     the references), a block is compared only with the queries up to its
     end, and its columns are then mirrored into its rows.
 
-    The blocks run on one thread per CPU, heaviest first (a triangle block
-    costs in proportion to its end row), as each numpy call releases the
-    GIL.  A block writes only its own columns and their mirror, cells no
-    other block touches, so the result is bit-identical to a serial loop.
-    One block or one query runs inline, with no pool.
+    The blocks run on one thread per CPU, dealt out heaviest first (a
+    triangle block costs in proportion to its end row), as each numpy call
+    releases the GIL.  A block writes only its own columns and their
+    mirror, cells no other block touches, so the result is bit-identical
+    to a serial loop.  When a worker raises, or the caller is interrupted,
+    the other workers take no further block.  A call with one block, or
+    with fewer than _POOL_CELLS cells in its whole matrix, runs inline,
+    with no pool.
     """
     n, d = hists.shape
     block = min(n, max(1, _BLOCK_CELLS // max(d, 1)))
@@ -119,36 +129,44 @@ def _chi2_blocks(queries, hists, symmetric=False):
     starts = range(0, n, block)
     if symmetric:
         starts = starts[::-1]
+    stop = threading.Event()
 
     def work(todo):
         den, terms = np.empty((block, d)), np.empty((block, d))
         # errstate is per thread, so each worker enters its own
         with np.errstate(invalid="ignore"):
-            for j0 in todo:
-                j1 = min(n, j0 + block)
-                h = hists[j0:j1]
-                bden, bterms = den[:j1 - j0], terms[:j1 - j0]
-                for i, q in enumerate(queries[:j1] if symmetric else queries):
-                    np.add(h, q, out=bden)
-                    np.subtract(h, q, out=bterms)
-                    np.square(bterms, out=bterms)
-                    np.divide(bterms, bden, out=bterms)
-                    np.fmax(bterms, 0.0, out=bterms)
-                    bterms.sum(axis=1, out=dist[i, j0:j1])
-                if symmetric:
-                    dist[j0:j1, :j0] = dist[:j0, j0:j1].T
+            try:
+                for j0 in todo:
+                    if stop.is_set():
+                        return
+                    j1 = min(n, j0 + block)
+                    h = hists[j0:j1]
+                    bden, bterms = den[:j1 - j0], terms[:j1 - j0]
+                    for i, q in enumerate(queries[:j1] if symmetric
+                                          else queries):
+                        np.add(h, q, out=bden)
+                        np.subtract(h, q, out=bterms)
+                        np.square(bterms, out=bterms)
+                        np.divide(bterms, bden, out=bterms)
+                        np.fmax(bterms, 0.0, out=bterms)
+                        bterms.sum(axis=1, out=dist[i, j0:j1])
+                    if symmetric:
+                        dist[j0:j1, :j0] = dist[:j0, j0:j1].T
+            except BaseException:
+                stop.set()
+                raise
 
-    workers = min(_cpu_count(), len(starts)) if len(queries) > 1 else 1
+    workers = (min(_cpu_count(), len(starts))
+               if len(queries) * n * d >= _POOL_CELLS else 1)
     if workers == 1:
         work(starts)
         return dist
-    todo = queue.SimpleQueue()  # each worker takes the next block start
-    for j0 in [*starts, *[None] * workers]:
-        todo.put(j0)
     with ThreadPoolExecutor(workers) as pool:
-        for future in [pool.submit(work, iter(todo.get, None))
-                       for _ in range(workers)]:
-            future.result()
+        try:
+            list(pool.map(work, [starts[k::workers]
+                                 for k in range(workers)]))
+        finally:
+            stop.set()  # leaving the pool waits for its workers
     return dist
 
 

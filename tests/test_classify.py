@@ -1,5 +1,7 @@
 import os
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -183,6 +185,7 @@ class TestChi2Pool:
     @pytest.mark.parametrize("m", [1, 3, 43])
     def test_any_worker_count_gives_serial_bits(self, rng, monkeypatch, m):
         monkeypatch.setattr(classify, "_BLOCK_CELLS", 8 * self.D)
+        monkeypatch.setattr(classify, "_POOL_CELLS", 0)  # pool every call
         queries, refs = self.inputs(rng, m)
         got = {}
         interval = sys.getswitchinterval()
@@ -203,7 +206,7 @@ class TestChi2Pool:
             assert np.array_equal(triangle, got[1][1])
         assert np.array_equal(got[1][1], chi2_matrix(refs.histograms, refs))
 
-    def test_one_block_or_one_query_starts_no_pool(self, rng, monkeypatch):
+    def test_small_or_one_block_call_starts_no_pool(self, rng, monkeypatch):
         pools = []
 
         class CountingPool(ThreadPoolExecutor):
@@ -215,15 +218,49 @@ class TestChi2Pool:
         monkeypatch.setattr(classify, "_cpu_count", lambda: 4)
         monkeypatch.setattr(classify, "_BLOCK_CELLS", 8 * self.D)
         queries, refs = self.inputs(rng, 3)
+        monkeypatch.setattr(classify, "_POOL_CELLS", 0)
         one_block = ReferenceSet(refs.histograms[:8], refs.labels[:8])
         chi2_matrix(queries, one_block)
         classify._chi2_triangle(one_block)
-        chi2_matrix(queries[:1], refs)
-        nn_classify(queries[1], refs)
         assert pools == []
-        chi2_matrix(queries, refs)
+        # the cell count decides, not the query count
+        monkeypatch.setattr(classify, "_POOL_CELLS", 2 * 43 * self.D + 1)
+        nn_classify(queries[1], refs)
+        chi2_matrix(queries[:2], refs)  # one cell short
+        assert pools == []
+        monkeypatch.setattr(classify, "_POOL_CELLS", 2 * 43 * self.D)
+        chi2_matrix(queries[:2], refs)
         classify._chi2_triangle(refs)
-        assert pools == [4, 4]  # never more workers than CPUs
+        monkeypatch.setattr(classify, "_POOL_CELLS", 43 * self.D)
+        nn_classify(queries[1], refs)
+        assert pools == [4, 4, 4]  # never more workers than CPUs
+
+    def test_failing_worker_stops_the_others(self, rng, monkeypatch):
+        # the first np.square call raises; the other worker, held inside
+        # its first block until then, must take no further block
+        monkeypatch.setattr(classify, "_BLOCK_CELLS", 8 * self.D)
+        monkeypatch.setattr(classify, "_POOL_CELLS", 0)
+        monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
+        queries, refs = self.inputs(rng, 3)
+        square, lock, raised = np.square, threading.Lock(), threading.Event()
+        calls = []
+
+        def failing_square(*args, **kwargs):
+            with lock:
+                calls.append(threading.get_ident())
+                first = len(calls) == 1
+            if first:
+                raised.set()
+                raise RuntimeError("worker failed")
+            if raised.wait(10) and calls.count(threading.get_ident()) == 1:
+                time.sleep(0.05)  # let the failing worker set the stop flag
+            return square(*args, **kwargs)
+
+        monkeypatch.setattr(np, "square", failing_square)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            chi2_matrix(queries, refs)
+        # six blocks, three each: the other worker ends after at most one
+        assert len(calls) <= 1 + len(queries)
 
     def test_worker_count_is_the_affinity_mask(self):
         want = (len(os.sched_getaffinity(0))

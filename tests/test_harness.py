@@ -790,8 +790,6 @@ class TestConfigFiles:
         "suite": ("s", None, "suite", "s"),
         "preprocessor": ("bf, gamma", None, "preprocessors", ("bf", "gamma")),
         "family": ("clbc", "descriptor", "family", "clbc"),
-        # the default family, lbp, takes only S
-        "scheme": ("S", "descriptor", "scheme", "S"),
         "p": ("16", "descriptor", "p", 16),
         "r": ("2", "descriptor", "r", 2.0),
         "ltp_t": ("0.01", "descriptor", "ltp_t", 0.01),
@@ -819,12 +817,16 @@ class TestConfigFiles:
                     replace(base, **{part: replace(getattr(base, part),
                                                    **{name: value})}))
             assert build(**{key: text}) == want, key
+        # the default family, lbp, takes only S, so scheme goes with family
+        assert build(family="clbp", scheme="S/M") == replace(
+            base, descriptor=replace(base.descriptor, family="clbp",
+                                     scheme="S/M"))
         # a bad noise value is named even without snr_levels
         with pytest.raises(ConfigError, match="'noise_repeats'"):
             build(noise_repeats="two")
         assert build(snr_levels="7", noise_repeats="2", noise_seed="5").noise \
             == NoiseSpec(snr_levels=(7.0,), repeats=2, seed=5)
-        assert set(self.ONE_KEY) | {"manifest", "noise_repeats",
+        assert set(self.ONE_KEY) | {"manifest", "scheme", "noise_repeats",
                                     "noise_seed"} == set(harness.EXPERIMENT_KEYS)
 
     @pytest.mark.parametrize("keys", [("noise_repeats",), ("noise_seed",),
