@@ -89,6 +89,9 @@ class DescriptorConfig:
             raise ValueError(f"family {self.family!r} takes only scheme "
                              f"'S', got {self.scheme!r}")
         NeighborhoodSpec(self.p, self.r)  # rejects out-of-range P and R
+        if self.family == "wld" and (self.p, self.r) != (8, 1.0):
+            raise ValueError(f"family 'wld' reads only the 3x3 ring, P=8 and "
+                             f"R=1, got P={self.p} and R={self.r:g}")
         if not 0 <= self.ltp_t < math.inf:
             raise ValueError(f"ltp_t must be in [0, inf), got {self.ltp_t}")
 
@@ -217,12 +220,6 @@ def interior(img, spec):
     return np.asarray(img, dtype=np.float64)[..., m:-m, m:-m]
 
 
-def _planes_first(bits):
-    """A (..., P, h, w) neighbour bit stack as the (P, ...) stack that the
-    labellers take."""
-    return np.moveaxis(bits, -3, 0)
-
-
 def riu2_from_bits(bits):
     """riu2 labels straight from a (P, ...) boolean stack, bit k of the code
     being bits[k].
@@ -259,11 +256,6 @@ def _plane_bins(plane, b):
     return 2 if plane == "C" else b
 
 
-def _scheme_size(scheme, b):
-    return sum(math.prod(_plane_bins(plane, b) for plane in part)
-               for part in _parts(scheme))
-
-
 def _codes(img, spec, scheme, label):
     """The (S, M, C) planes of the completed-LBP family; a plane the scheme
     does not read is None and is never computed.
@@ -280,13 +272,14 @@ def _codes(img, spec, scheme, label):
     if "M" in planes:  # thresholded by the mean over the whole stack
         diffs = neighbor_stack(img, spec)
         diffs -= center[..., None, :, :]  # in the stack's memory
+        # the labellers take the neighbour axis first
         if "S" in planes:
-            s = label(_planes_first(diffs >= 0))
+            s = label(np.moveaxis(diffs >= 0, -3, 0))
         mags = np.abs(diffs, out=diffs)
         # image-major, so each image's mean sums its own contiguous cells
         # in the order a single image's mean does
-        m = label(_planes_first(
-            mags >= mags.mean(axis=(-3, -2, -1), keepdims=True)))
+        m = label(np.moveaxis(
+            mags >= mags.mean(axis=(-3, -2, -1), keepdims=True), -3, 0))
     elif "S" in planes:  # for finite doubles a - b >= 0 exactly when a >= b
         s = label(_sign_bits(img, spec)[0])
     c = ((center >= center.mean(axis=(-2, -1), keepdims=True))
@@ -401,14 +394,12 @@ def _histogram(img, config):
                            config.scheme, config.bins_per_code)
 
 
+@lru_cache(maxsize=None)
 def feature_size(config, on_maps=False):
-    """Histogram length implied by the descriptor config."""
-    if config.family == "wld":
-        n = WLD_T * WLD_M * WLD_S
-    elif config.family == "ltp":
-        n = 2 * config.bins_per_code
-    else:
-        n = _scheme_size(config.scheme, config.bins_per_code)
+    """Histogram length of the descriptor config: that of one zero image
+    just large enough for it, doubled for a map pair (computed once)."""
+    side = 2 * config.spec.margin + 1
+    n = _histogram(np.zeros((side, side)), config).shape[-1]
     return 2 * n if on_maps else n
 
 

@@ -72,7 +72,7 @@ class Manifest:
 
 def load_manifest(path, suite=None):
     """Parse a manifest: `<relative-path> <label> [train|test]` per line."""
-    samples, flags, any_flag = [], [], False
+    samples, flags = [], []
     base = os.path.dirname(os.path.abspath(path))
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
@@ -90,20 +90,17 @@ def load_manifest(path, suite=None):
                     f"{path}:{lineno}: non-integer label {parts[1]!r}") from None
             if label < 0:
                 raise ManifestError(f"{path}:{lineno}: negative label {label}")
-            flag = None
-            if len(parts) == 3:
-                if parts[2] not in ("train", "test"):
-                    raise ManifestError(
-                        f"{path}:{lineno}: bad split flag {parts[2]!r}")
-                flag = parts[2]
-                any_flag = True
+            flag = parts[2] if len(parts) == 3 else None
+            if flag not in (None, "train", "test"):
+                raise ManifestError(
+                    f"{path}:{lineno}: bad split flag {flag!r}")
             samples.append((os.path.join(base, parts[0]), label))
             flags.append(flag)
-    if any_flag and any(fl is None for fl in flags):
+    if any(flags) and None in flags:
         raise ManifestError(f"{path}: split flags must cover every sample")
     return Manifest(samples=samples,
                     suite=suite or os.path.basename(os.path.dirname(os.path.abspath(path))),
-                    split_flags=flags if any_flag else None)
+                    split_flags=flags if any(flags) else None)
 
 
 @dataclass(frozen=True)
@@ -344,11 +341,11 @@ def run_experiment(config, manifest=None, images=None):
     Clean accuracy is always reported; when a noise spec is present, one
     row per SNR level follows.  Noise is applied to test images only
     unless corrupt_train is set, and only the corrupted images are
-    extracted again.  Each repeat's noisy images are drawn once and shared
-    by every preprocessor.  A preprocessor that fails on bad input (OSError
-    or ValueError) keeps the rows it finished and is recorded as a failure,
-    and the other preprocessors still run; any other error propagates.
-    Clean rows carry timings only when config.include_timing is set.
+    extracted again.  Each repeat's noisy images are drawn on first use and
+    shared by every preprocessor.  A preprocessor that fails on bad input
+    (OSError or ValueError) keeps the rows it finished and is recorded as a
+    failure, and the others still run; any other error propagates.  Clean
+    rows carry timings only when config.include_timing is set.
     """
     if manifest is None:
         manifest = load_manifest(config.manifest_path, suite=config.suite)
@@ -372,52 +369,46 @@ def run_experiment(config, manifest=None, images=None):
     # each repeat's noise is drawn once, yet rows list preprocessor first
     names = config.preprocessors
     feats, rows, failed = {}, {name: [] for name in names}, {}
-
-    def fail(name, exc):  # keeps its finished rows, drops its features
-        failed[name] = f"{type(exc).__name__}: {exc}"
-        feats.pop(name, None)
-
     for name in names:
         try:
             t0 = time.perf_counter()
-            feats[name] = _extract_features(images, paths, name, config)
+            hists = _extract_features(images, paths, name, config)
             t1 = time.perf_counter()
-            accs = _run_splits(feats[name], labels, splits)
+            accs = _run_splits(hists, labels, splits)
             timing = ()
             if config.include_timing:  # mean ms per image and per query
                 timing = ((t1 - t0) * 1000.0 / len(images),
                           (time.perf_counter() - t1) * 1000.0
                           / sum(len(test) for _, test in splits))
-            rows[name].append(row(name, "clean", accs, feats[name].shape[1],
-                                  *timing))
+            rows[name].append(row(name, "clean", accs, hists.shape[1], *timing))
+            feats[name] = hists
         except (OSError, ValueError) as exc:  # keep remaining rows running
-            fail(name, exc)
+            failed[name] = f"{type(exc).__name__}: {exc}"
+    # noisy holds the draw of repeat `drawn` until the next draw is made: to
+    # free it first would let the heap shrink, to be faulted in again
+    noisy, drawn = None, None
     for li, snr in enumerate(config.noise.snr_levels if config.noise else ()):
         accs = {name: [] for name in feats}
         for rep in range(config.noise.repeats):
-            if not feats:
-                break
             train, test = splits[rep % len(splits)]
-            rng = _rng(config.noise.seed, li, rep)
-            # noise is drawn for the test images first, in index order;
-            # untouched images keep their clean features
+            # the first live preprocessor draws noise for the test images
+            # first, in index order; untouched images keep clean features
             corrupted = test + (train if config.corrupt_train else [])
-            try:
-                noisy = [add_gaussian_noise(images[j], snr, rng)
-                         for j in corrupted]
-            except (OSError, ValueError) as exc:  # the same for each
-                for name in list(feats):
-                    fail(name, exc)
-                break
             for name in list(feats):
                 try:
+                    if drawn != (li, rep):  # a failed draw fails each in turn
+                        rng = _rng(config.noise.seed, li, rep)
+                        noisy = [add_gaussian_noise(images[j], snr, rng)
+                                 for j in corrupted]
+                        drawn = li, rep
                     nfeats = feats[name].copy()
                     nfeats[corrupted] = _extract_features(
                         noisy, [paths[j] for j in corrupted], name, config)
                     accs[name].extend(_run_splits(nfeats, labels,
                                                   [(train, test)]))
-                except (OSError, ValueError) as exc:
-                    fail(name, exc)
+                except (OSError, ValueError) as exc:  # as for clean rows
+                    failed[name] = f"{type(exc).__name__}: {exc}"
+                    del feats[name]  # so it runs no more
         for name in feats:
             rows[name].append(row(name, f"{snr:g}", accs[name],
                                   feats[name].shape[1]))

@@ -187,14 +187,16 @@ def test_criterion_7_performance_envelope():
     worst = 0.0
     for family, scheme in [("lbp", "S"), ("clbp", "S/M/C"),
                            ("clbc", "S/M/C"), ("ltp", "S"), ("wld", "S")]:
-        config = DescriptorConfig(family=family, scheme=scheme, p=24, r=3.0)
+        # wld reads only the 3x3 ring, so it takes only P=8, R=1
+        p, r = (8, 1.0) if family == "wld" else (24, 3.0)
+        config = DescriptorConfig(family=family, scheme=scheme, p=p, r=r)
         t0 = time.perf_counter()
         for _ in range(3):
             D.extract(big, config)
         worst = max(worst, (time.perf_counter() - t0) / 3)
     report(7, bf_total < 10.0 and worst < 0.5,
            f"1000x bf_preprocess(128x128) in {bf_total:.2f}s; slowest "
-           f"descriptor at 200x200 P=24: {worst * 1000:.1f} ms")
+           f"descriptor at 200x200 P=24 (wld P=8): {worst * 1000:.1f} ms")
 
 
 @pytest.mark.skipif("BFTEX_OUTEX_TC10_MANIFEST" not in os.environ,

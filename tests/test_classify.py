@@ -161,6 +161,8 @@ class TestChi2Matrix:
             chi2_matrix(rng.random(4), refs)
         with pytest.raises(ValueError, match="reference dims"):
             chi2_matrix(rng.random((2, 5)), refs)
+        with pytest.raises(ValueError, match="label count does not match"):
+            ReferenceSet(rng.random((3, 4)), [0, 1])
 
 
 class TestChi2Pool:

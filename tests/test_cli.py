@@ -6,7 +6,7 @@ import pytest
 from bftex.classify import ReferenceSet, chi2, nn_classify
 from bftex.cli import main
 from bftex.image import load_image, save_pgm
-from bftex.synthetic import generate_suite
+from bftex.synthetic import CLASS_NAMES, generate_suite
 
 from oracles import load_csv_matrix
 
@@ -199,6 +199,22 @@ class TestExperimentCommand:
         assert out1.read_bytes() == out2.read_bytes()
         assert "bf" in capsys.readouterr().out
 
+    def test_noise_row_tag_and_failure_line(self, tmp_path, capsys):
+        manifest = generate_suite(tmp_path / "suite", n_classes=2,
+                                  per_class=3, size=24, seed=0)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"manifest = {manifest}\nn_train = 1\n"
+                       "preprocessor = bf,gderiv1\nderiv_sigma = 0.02\n"
+                       "snr_levels = 5\n")
+        assert run_cli(["experiment", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert [line[:22].rstrip() for line in captured.out.splitlines()] \
+            == ["preprocessor", "bf", "bf snr=5"]
+        failures = captured.err.splitlines()
+        assert len(failures) == 1
+        assert failures[0].startswith("FAILED gderiv1: ValueError: "
+                                      "sigma=0.02 is too small")
+
     def test_missing_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("preprocessor = bf\n")
@@ -248,10 +264,18 @@ class TestExperimentCommand:
          "'n_train' applies to random splits only, not mode = predefined"),
         ("family = wld\nscheme = S_M",
          "family 'wld' takes only scheme 'S', got 'S_M'"),
+        ("family = wld\np = 16",
+         "family 'wld' reads only the 3x3 ring, P=8 and R=1, got P=16 and "
+         "R=1"),
+        ("mode = kfold", "unknown split mode 'kfold'"),
+        ("repeats = 0", "repeats must be >= 1"),
+        ("snr_levels = 5\nnoise_repeats = 0", "noise repeats must be >= 1"),
+        ("timing = maybe", "invalid value for key 'timing': 'maybe'"),
     ])
     def test_config_rejected_before_running(self, tmp_path, capsys, setting,
                                             message):
-        # each would otherwise exit 0 and silently drop or double rows
+        # each is caught before any image is read; many would otherwise
+        # exit 0 and silently drop, double or mislabel rows
         manifest = generate_suite(tmp_path / "suite", n_classes=2,
                                   per_class=3, size=24, seed=0)
         cfg = tmp_path / "exp.cfg"
@@ -352,6 +376,27 @@ class TestGenSynthetic:
         assert f"error: {name} must be {bound}, got {value}" in \
             capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("classes", ["1", "10"])
+    def test_class_count_out_of_range_is_usage_error(self, tmp_path, capsys,
+                                                     classes):
+        out = tmp_path / "suite"
+        assert run_cli(["gen-synthetic", "--out-dir", str(out),
+                        "--classes", classes]) == 2
+        assert "error: n_classes must be in [2, 9]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_class_pattern(self, tmp_path):
+        manifest = Path(generate_suite(tmp_path / "suite", n_classes=9,
+                                       per_class=1, size=24, seed=0))
+        lines = [l.split() for l in manifest.read_text().splitlines()
+                 if not l.startswith("#")]
+        assert lines == [[f"{name}_000.pgm", str(c)]
+                         for c, name in enumerate(CLASS_NAMES)]
+        for name, _ in lines:
+            img = load_image(manifest.parent / name)
+            assert img.shape == (24, 24)
+            assert 0.0 <= img.min() < img.max() <= 1.0
 
 
 def test_help_lists_defaults(capsys):

@@ -601,6 +601,18 @@ class TestValidation:
                                              f"scheme 'S', got '{scheme}'"):
             D.DescriptorConfig(family=family, scheme=scheme)
 
+    @pytest.mark.parametrize("p,r", [(16, 2.0), (8, 2.0), (16, 1.0),
+                                     (24, 3.0), (8, 1.5)])
+    def test_wld_geometry_other_than_the_3x3_ring_rejected(self, p, r):
+        # wld_histogram always reads the 3x3 ring, so a report naming
+        # another P or R would describe a histogram that was never built
+        D.DescriptorConfig(family="wld", p=8, r=1.0)
+        with pytest.raises(ValueError) as excinfo:
+            D.DescriptorConfig(family="wld", p=p, r=r)
+        assert str(excinfo.value) == (
+            f"family 'wld' reads only the 3x3 ring, P=8 and R=1, got P={p} "
+            f"and R={r:g}")
+
     def test_p_above_24_rejected(self):
         D.NeighborhoodSpec(p=24, r=3.0)
         with pytest.raises(ValueError, match="P=25"):

@@ -64,6 +64,15 @@ class TestManifest:
         with pytest.raises(ManifestError, match="2 classes"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("line,message", [
+        ("b.pgm 1 train extra", "expected '<path> <label> [train|test]'"),
+        ("b.pgm 1 val", "bad split flag 'val'")])
+    def test_bad_line_named(self, tmp_path, line, message):
+        p = write_manifest(tmp_path / "m.txt", ["a.pgm 0 train", line])
+        with pytest.raises(ManifestError) as excinfo:
+            load_manifest(p)
+        assert str(excinfo.value) == f"{p}:2: {message}"
+
     def test_partial_flags_rejected(self, tmp_path):
         p = write_manifest(tmp_path / "m.txt", ["a.pgm 0 train", "b.pgm 1"])
         with pytest.raises(ManifestError, match="every sample"):
@@ -683,6 +692,11 @@ class TestSweep:
     def test_empty_grid_rejected(self, small_suite):
         with pytest.raises(ConfigError):
             sweep_bf_params(small_config(small_suite), [3.0], [2.0], [0.1])
+
+    def test_grid_axis_left_out_takes_its_default(self):
+        assert harness.build_sweep_grid({"sigma2": "3, 4"}) == [
+            harness.SWEEP_GRID["sigma1"], (3.0, 4.0),
+            harness.SWEEP_GRID["epsilon"]]
 
     def test_single_point_equals_run_experiment(self, small_suite):
         config = small_config(small_suite, preprocessors=("bf",),
