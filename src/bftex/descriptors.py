@@ -15,6 +15,7 @@ whose index is the first such image's place in the stack.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,6 +44,13 @@ COMBINATION_SCHEMES = {
     "S/M/C": (("S", "M", "C"),),
 }
 DEFAULT_LTP_T = 5.0 / 255.0
+# Largest P whose riu2 labels come from a 2**P table (256 KB at P=16).
+_TABLE_MAX_P = 16
+# One block's budget: the neighbour samples (P per interior pixel) of the
+# images described together, 2 MB as a float64 stack.  A plane-loop scratch
+# array of up to that many cells is kept per thread and reused from block to
+# block.
+BLOCK_CELLS = 1 << 18
 
 # Weber descriptor binning: T orientations, M excitation segments,
 # S bins per segment.
@@ -121,6 +129,27 @@ def neighbor_offsets(spec):
     return offsets
 
 
+_scratch = threading.local()
+
+
+def _scratch_array(slot, shape, dtype):
+    """Uninitialised `shape` array of `dtype` in this thread's scratch
+    `slot`, valid until the slot is asked for again, so it must not leave
+    the function that fills it.  The slot keeps its largest request of up
+    to BLOCK_CELLS cells; a larger one gets a fresh array that is not kept,
+    so a one-off large image is not held in memory."""
+    cells = math.prod(shape)
+    if cells > BLOCK_CELLS:
+        return np.empty(shape, dtype)
+    dtype = np.dtype(dtype)
+    nbytes = cells * dtype.itemsize
+    buf = getattr(_scratch, slot, None)
+    if buf is None or buf.size < nbytes:
+        buf = np.empty(nbytes, dtype=np.uint8)
+        setattr(_scratch, slot, buf)
+    return buf[:nbytes].view(dtype).reshape(shape)
+
+
 def _shifted(img, m, dr, dc):
     """Interior window of each image shifted by integer (dr, dc)."""
     h, w = img.shape[-2:]
@@ -146,13 +175,14 @@ def _neighbor_planes(img, spec):
 
     An integer offset is a slice of the stack.  An interpolated one is
     accumulated, in the order of the written-out bilinear sum, into one
-    buffer that the next neighbour overwrites.
+    scratch buffer that the next neighbour overwrites, so a caller reads
+    each plane before asking for the next.
     """
     m = spec.margin
     h, w = img.shape[-2:]
     flat = img.reshape(-1)
     first, n = _run_bounds(img.shape, spec)
-    buf = np.empty(img.shape)
+    buf = _scratch_array("plane", img.shape, np.float64)
     run, plane = buf.reshape(-1)[:n], buf[..., :h - 2 * m, :w - 2 * m]
 
     def shifted(dr, dc):
@@ -196,11 +226,13 @@ def neighbor_stack(img, spec):
     return out
 
 
-def _sign_bits(img, spec, t=None):
-    """Bool (P, ..., H-2m, W-2m) stacks written plane by plane over the
-    run, with no float neighbour stack: [neighbour >= centre], or with an
-    LTP threshold t the pair [neighbour >= centre + t] and
-    [neighbour <= centre - t].  Bit k of a pixel is neighbour k's."""
+def _sign_labels(img, spec, label, t=None):
+    """Labels of the sign bits, written plane by plane over the run into
+    bool (P, ..., H, W) scratch stacks, with no float neighbour stack: the
+    bits [neighbour >= centre], or with an LTP threshold t the pair
+    [neighbour >= centre + t] and [neighbour <= centre - t].  Bit k of a
+    pixel is neighbour k's; `label` turns each interior (P, ...) bit stack
+    into a new array of per-pixel labels, returned in a list."""
     img = _checked(img, spec)
     m = spec.margin
     h, w = img.shape[-2:]
@@ -208,11 +240,12 @@ def _sign_bits(img, spec, t=None):
     centre = img.reshape(-1)[first:first + n]
     tests = ([(np.greater_equal, centre)] if t is None else
              [(np.greater_equal, centre + t), (np.less_equal, centre - t)])
-    stacks = [np.empty((spec.p,) + img.shape, dtype=bool) for _ in tests]
+    stacks = [_scratch_array(f"bits{i}", (spec.p,) + img.shape, bool)
+              for i in range(len(tests))]
     for k, (run, _) in enumerate(_neighbor_planes(img, spec)):
         for (test, limit), bits in zip(tests, stacks):
             test(run, limit, out=bits.reshape(spec.p, -1)[k, :n])
-    return [bits[..., :h - 2 * m, :w - 2 * m] for bits in stacks]
+    return [label(bits[..., :h - 2 * m, :w - 2 * m]) for bits in stacks]
 
 
 def interior(img, spec):
@@ -220,25 +253,44 @@ def interior(img, spec):
     return np.asarray(img, dtype=np.float64)[..., m:-m, m:-m]
 
 
-def riu2_from_bits(bits):
-    """riu2 labels straight from a (P, ...) boolean stack, bit k of the code
-    being bits[k].
-
-    A code with at most two circular 0/1 transitions is labelled by its
-    popcount, every other code by P+1 (P+2 labels in all).  The rule is
-    applied to the packed codes without a 2**P lookup table, so P=24 stays
-    cheap.
-    """
-    p = bits.shape[0]
-    if p > MAX_P:
-        raise ValueError(f"P={p} exceeds the maximum of {MAX_P} neighbors")
-    weights = np.left_shift(1, np.arange(p, dtype=np.uint32), dtype=np.uint32)
-    # packed without a (P, ...) product array; integer sums are exact
-    codes = np.einsum("k...,k->...", bits, weights, dtype=np.uint32)
+def _riu2_rule(codes, p):
+    """int32 riu2 label of each packed uint32 P-bit code: its popcount when
+    it has at most two circular 0/1 transitions, P+1 otherwise."""
     rotated = ((codes << 1) | (codes >> (p - 1))) & np.uint32((1 << p) - 1)
     labels = np.bitwise_count(codes).astype(np.int32)
     np.putmask(labels, np.bitwise_count(codes ^ rotated) > 2, p + 1)
     return labels
+
+
+@lru_cache(maxsize=None)
+def _riu2_table(p):
+    """Read-only int32 riu2 label of every P-bit code, built on first use."""
+    table = _riu2_rule(np.arange(1 << p, dtype=np.uint32), p)
+    table.setflags(write=False)
+    return table
+
+
+def riu2_from_bits(bits):
+    """int32 riu2 labels straight from a (P, ...) boolean stack, bit k of
+    the code being bits[k].
+
+    A code with at most two circular 0/1 transitions is labelled by its
+    popcount, every other code by P+1 (P+2 labels in all).  The bits are
+    packed into the narrowest unsigned codes that hold them; for P <= 16
+    the codes index a 2**P lookup table (Ojala et al. 2002), and for larger
+    P the rule is applied to each pixel's code, as a 2**24 table is too
+    large.
+    """
+    p = bits.shape[0]
+    if p > MAX_P:
+        raise ValueError(f"P={p} exceeds the maximum of {MAX_P} neighbors")
+    dtype = np.uint8 if p <= 8 else np.uint16 if p <= 16 else np.uint32
+    weights = np.left_shift(1, np.arange(p, dtype=dtype), dtype=dtype)
+    # packed without a (P, ...) product array; integer sums are exact
+    codes = np.einsum("k...,k->...", bits, weights, dtype=dtype)
+    if p <= _TABLE_MAX_P:
+        return _riu2_table(p).take(codes)
+    return _riu2_rule(codes, p)
 
 
 def _count_bits(bits):
@@ -281,7 +333,7 @@ def _codes(img, spec, scheme, label):
         m = label(np.moveaxis(
             mags >= mags.mean(axis=(-3, -2, -1), keepdims=True), -3, 0))
     elif "S" in planes:  # for finite doubles a - b >= 0 exactly when a >= b
-        s = label(_sign_bits(img, spec)[0])
+        (s,) = _sign_labels(img, spec, label)
     c = ((center >= center.mean(axis=(-2, -1), keepdims=True))
          .astype(np.int32) if "C" in planes else None)
     return s, m, c
@@ -346,7 +398,7 @@ def ltp_histogram(img, spec, t=DEFAULT_LTP_T):
     each riu2-mapped; the two histograms are concatenated (2(P+2) bins)."""
     if not 0 <= t < math.inf:
         raise ValueError(f"ltp_t must be in [0, inf), got {t}")
-    upper, lower = map(riu2_from_bits, _sign_bits(img, spec, t))
+    upper, lower = _sign_labels(img, spec, riu2_from_bits, t)
     b = spec.p + 2
     return _normalized(np.concatenate([_hist(upper, b), _hist(lower, b)],
                                       axis=-1))

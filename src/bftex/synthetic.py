@@ -88,7 +88,8 @@ def generate_suite(out_dir, n_classes=DEFAULT_CLASSES,
                    per_class=DEFAULT_PER_CLASS, size=DEFAULT_SIZE, seed=0):
     """Write the suite as PGM files plus a manifest; returns the manifest path."""
     if not 2 <= n_classes <= len(CLASS_NAMES):
-        raise ValueError(f"n_classes must be in [2, {len(CLASS_NAMES)}]")
+        raise ValueError(f"n_classes must be in [2, {len(CLASS_NAMES)}], "
+                         f"got {n_classes}")
     for name, value in (("per_class", per_class), ("size", size)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")

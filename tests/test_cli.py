@@ -383,7 +383,8 @@ class TestGenSynthetic:
         out = tmp_path / "suite"
         assert run_cli(["gen-synthetic", "--out-dir", str(out),
                         "--classes", classes]) == 2
-        assert "error: n_classes must be in [2, 9]" in capsys.readouterr().err
+        assert (f"error: n_classes must be in [2, 9], got {classes}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_every_class_pattern(self, tmp_path):

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -173,8 +176,16 @@ class TestRiu2:
                         dtype=bool)
         np.testing.assert_array_equal(D.riu2_from_bits(bits), table[codes])
 
+    @pytest.mark.parametrize("p", range(4, D._TABLE_MAX_P + 1))
+    def test_table_path_labels_every_code(self, p):
+        codes = np.arange(1 << p)
+        bits = np.array([(codes >> k) & 1 for k in range(p)], dtype=bool)
+        labels = D.riu2_from_bits(bits)
+        assert labels.dtype == np.int32
+        np.testing.assert_array_equal(labels, riu2_map(p))
+
     @FAST
-    @given(p=st.sampled_from([4, 8, 16, 24]), data=st.data())
+    @given(p=st.sampled_from([4, 8, 16, 17, 24]), data=st.data())
     def test_bits_path_matches_table_and_rotation(self, p, data):
         codes = np.array(data.draw(st.lists(
             st.integers(0, (1 << p) - 1), min_size=1, max_size=40)))
@@ -423,10 +434,11 @@ class TestPlaneLoopOracle:
            t=st.sampled_from([0.0, D.DEFAULT_LTP_T, 0.5, 1.0]))
     def test_sign_and_ltp_bits_match_float_stack(self, inputs, t):
         img, spec = inputs
-        (sign,) = D._sign_bits(img, spec)
+        # np.copy as the labeller returns the bit stacks themselves
+        (sign,) = D._sign_labels(img, spec, np.copy)
         want = float_stack_codes(img, spec, lambda bits: bits, "S")[0]
         np.testing.assert_array_equal(sign, want)
-        upper, lower = D._sign_bits(img, spec, t)
+        upper, lower = D._sign_labels(img, spec, np.copy, t)
         want_upper, want_lower = float_stack_ltp_bits(img, spec, t)
         np.testing.assert_array_equal(upper, want_upper)
         np.testing.assert_array_equal(lower, want_lower)
@@ -436,6 +448,77 @@ class TestPlaneLoopOracle:
         np.testing.assert_array_equal(
             D.ltp_histogram(img, spec, t),
             D._normalized(np.concatenate(counts, axis=-1)))
+
+
+SCRATCH_CONFIGS = [
+    D.DescriptorConfig(family="lbp", p=8, r=1.0),
+    D.DescriptorConfig(family="clbp", scheme="S/M/C", p=16, r=2.0),
+    D.DescriptorConfig(family="clbc", scheme="S/C", p=8, r=1.5),
+    D.DescriptorConfig(family="ltp", p=8, r=1.0),
+]
+
+
+class TestScratch:
+    """The plane loop's per-thread scratch changes no result: not when
+    block shapes change between calls, not in results already returned,
+    and not when threads extract at once."""
+
+    @pytest.mark.parametrize("config", SCRATCH_CONFIGS, ids=str)
+    def test_changing_block_shapes_equal_per_image(self, rng, config):
+        for n, size in ((9, 64), (7, 64), (9, 48)):
+            stack = rng.random((n, size, size))
+            for source in (stack, bf_preprocess(stack)):
+                got = D.extract(source, config)
+                for i in range(n):
+                    one = (BfMaps(source.plus[i], source.minus[i],
+                                  source.raw[i])
+                           if isinstance(source, BfMaps) else source[i])
+                    np.testing.assert_array_equal(got[i],
+                                                  D.extract(one, config))
+
+    @pytest.mark.parametrize("config", SCRATCH_CONFIGS, ids=str)
+    def test_results_survive_later_calls(self, rng, config):
+        first = rng.random((9, 64, 64))
+        hist = D.extract(first, config)
+        labels = D.clbp_codes(first, config.spec, "S")[0]
+        kept = hist.copy(), labels.copy()
+        for later in (rng.random((9, 64, 64)), rng.random((4, 40, 40))):
+            D.extract(later, config)
+            D.clbp_codes(later, config.spec, "S")
+        np.testing.assert_array_equal(hist, kept[0])
+        np.testing.assert_array_equal(labels, kept[1])
+
+    def test_large_request_not_kept(self):
+        kept = D._scratch_array("test", (8, 100), np.float64)
+        assert np.shares_memory(kept, D._scratch_array("test", (10, 10),
+                                                       bool))
+        big = D._scratch_array("test", (D.BLOCK_CELLS + 1,), np.float64)
+        assert not np.shares_memory(big, kept)
+        assert np.shares_memory(kept, D._scratch_array("test", (8, 100),
+                                                       np.float64))
+
+    def test_threads_match_serial_extraction(self, rng):
+        jobs = [(rng.random((9, 64, 64)), SCRATCH_CONFIGS[0]),
+                (rng.random((5, 48, 48)), SCRATCH_CONFIGS[0]),
+                (rng.random((4, 64, 64)), SCRATCH_CONFIGS[1]),
+                (rng.random((9, 56, 56)), SCRATCH_CONFIGS[3])]
+        want = [D.extract(stack, config) for stack, config in jobs]
+        start = threading.Barrier(len(jobs), timeout=60)
+
+        def work(job):
+            start.wait()
+            return [D.extract(*job) for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave inside plane loops
+        try:
+            with ThreadPoolExecutor(len(jobs)) as pool:
+                results = list(pool.map(work, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, w in zip(results, want):
+            for hist in got:
+                np.testing.assert_array_equal(hist, w)
 
 
 class TestHistograms:
