@@ -22,7 +22,9 @@ import numpy as np
 
 from . import baselines, descriptors
 from .classify import ReferenceSet, _chi2_triangle, chi2_matrix, evaluate
-from .image import NonFiniteImageError, load_image
+from .image import NonFiniteImageError, _read_pixels, check_finite
+# perfbench/tracer.py wraps harness.load_image by name, so it stays importable
+from .image import load_image  # noqa: F401
 from .retina import BfParams, bf_preprocess
 
 # Neighbour samples (P per interior pixel) in one block.  A scheme that
@@ -132,9 +134,17 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.snr_levels:
+            raise ConfigError("snr_levels must name at least one level")
         if not all(0 < s < math.inf for s in self.snr_levels):
             raise ConfigError(f"snr_levels must be in (0, inf), got "
                               f"{self.snr_levels}")
+        # a row's snr column is the level's label, so two levels with one
+        # label would give two rows that cannot be told apart
+        labels = [f"{s:g}" for s in self.snr_levels]
+        repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
+        if repeated:
+            raise ConfigError(f"repeated snr_levels: {repeated}")
         if self.repeats < 1:
             raise ConfigError("noise repeats must be >= 1")
 
@@ -181,12 +191,19 @@ def add_gaussian_noise(img, snr, rng):
     """Additive Gaussian noise at sigma = image std / snr, unclipped.
 
     A constant image has zero signal deviation, so it is returned unchanged
-    (with a warning) rather than dividing by zero.
+    (with a warning) rather than dividing by zero.  An image with a NaN or
+    infinite pixel is rejected with a NonFiniteImageError, and a finite
+    one whose variance overflows float64 with a ValueError.
     """
     if not 0 < snr < math.inf:
         raise ValueError(f"snr must be in (0, inf), got {snr}")
     img = np.asarray(img, dtype=np.float64)
-    sigma_signal = float(img.std())
+    with np.errstate(invalid="ignore", over="ignore"):  # checked just below
+        sigma_signal = float(img.std())
+    if not math.isfinite(sigma_signal):
+        check_finite(img)
+        raise ValueError("image variance overflows float64: no noise "
+                         "level can be set")
     if sigma_signal == 0.0:
         warnings.warn("constant image: no noise added (zero signal std)")
         return img.copy()
@@ -298,21 +315,34 @@ def _blocks(images, spec):
         start = stop
 
 
-def _extract_features(images, paths, name, config):
-    """Descriptor histograms of the images after preprocessing, extracted a
-    block at a time (see _blocks).  An image with a NaN or infinite pixel
+def _read_suite(manifest):
+    """Each manifest image's samples at its file's precision, and one
+    float64 maxval per image (see image._read_pixels)."""
+    read = [_read_pixels(path) for path, _ in manifest.samples]
+    return ([pixels for pixels, _ in read],
+            np.array([maxval for _, maxval in read], dtype=np.float64))
+
+
+def _extract_features(pixels, maxvals, paths, name, config):
+    """Descriptor histograms of the images ``pixels / maxvals`` after
+    preprocessing, extracted a block at a time (see _blocks): only the
+    block in hand is made float64.  An image with a NaN or infinite pixel
     is named by its path."""
-    feats = []
-    for lo, hi in _blocks(images, config.descriptor.spec):
+    feats = None
+    for lo, hi in _blocks(pixels, config.descriptor.spec):
+        block = np.stack(pixels[lo:hi], dtype=np.float64)
+        block /= maxvals[lo:hi, None, None]
         try:
-            feats.append(descriptors.extract(
-                apply_preprocessor(np.stack(images[lo:hi]), name, config),
-                config.descriptor))
+            hists = descriptors.extract(
+                apply_preprocessor(block, name, config), config.descriptor)
         except NonFiniteImageError as exc:
             raise NonFiniteImageError(
                 f"{paths[lo + exc.index]}: image has NaN or infinite "
                 f"pixels") from None
-    return np.concatenate(feats)
+        if feats is None:
+            feats = np.empty((len(pixels), hists.shape[1]))
+        feats[lo:hi] = hists
+    return feats
 
 
 def _run_splits(feats, labels, splits):
@@ -339,6 +369,9 @@ def _run_splits(feats, labels, splits):
 def run_experiment(config, manifest=None, images=None):
     """Execute the configured experiment and return its report.
 
+    The manifest's images are read at their files' precision (8- or 16-bit
+    samples) unless ``images`` gives them as arrays on [0, 1].
+
     Clean accuracy is always reported; when a noise spec is present, one
     row per SNR level follows.  Noise is applied to test images only
     unless corrupt_train is set, and only the corrupted images are
@@ -350,9 +383,14 @@ def run_experiment(config, manifest=None, images=None):
     """
     if manifest is None:
         manifest = load_manifest(config.manifest_path, suite=config.suite)
-    suite = config.suite or manifest.suite
     if images is None:
-        images = [load_image(p) for p, _ in manifest.samples]
+        return _run_loaded(config, manifest, *_read_suite(manifest))
+    return _run_loaded(config, manifest, images, np.ones(len(images)))
+
+
+def _run_loaded(config, manifest, pixels, maxvals):
+    """run_experiment on the images ``pixels / maxvals`` of the manifest."""
+    suite = config.suite or manifest.suite
     paths = [path for path, _ in manifest.samples]
     labels = np.asarray([lab for _, lab in manifest.samples], dtype=np.int64)
     splits = make_splits(manifest, config.split)
@@ -373,12 +411,12 @@ def run_experiment(config, manifest=None, images=None):
     for name in names:
         try:
             t0 = time.perf_counter()
-            hists = _extract_features(images, paths, name, config)
+            hists = _extract_features(pixels, maxvals, paths, name, config)
             t1 = time.perf_counter()
             accs = _run_splits(hists, labels, splits)
             timing = ()
             if config.include_timing:  # mean ms per image and per query
-                timing = ((t1 - t0) * 1000.0 / len(images),
+                timing = ((t1 - t0) * 1000.0 / len(pixels),
                           (time.perf_counter() - t1) * 1000.0
                           / sum(len(test) for _, test in splits))
             rows[name].append(row(name, "clean", accs, hists.shape[1], *timing))
@@ -386,9 +424,9 @@ def run_experiment(config, manifest=None, images=None):
         except (OSError, ValueError) as exc:  # keep remaining rows running
             failed[name] = f"{type(exc).__name__}: {exc}"
     # noisy holds the draw of repeat `drawn` until the next draw replaces it.
-    # Freeing it before each draw makes no measurable difference: a
-    # criterion-6 benchmark pass then took 0 minor page faults instead of
-    # 800, in the same time within the run-to-run spread.
+    # Freeing it before each draw did not help: a later criterion-6 benchmark
+    # pass then took 17.8k minor page faults instead of 10.6k.  Both counts
+    # rest on where malloc places these images and each block's arrays.
     noisy, drawn = None, None
     for li, snr in enumerate(config.noise.snr_levels if config.noise else ()):
         accs = {name: [] for name in feats}
@@ -401,12 +439,14 @@ def run_experiment(config, manifest=None, images=None):
                 try:
                     if drawn != (li, rep):  # a failed draw fails each in turn
                         rng = _rng(config.noise.seed, li, rep)
-                        noisy = [add_gaussian_noise(images[j], snr, rng)
-                                 for j in corrupted]
+                        noisy = [add_gaussian_noise(
+                            np.divide(pixels[j], maxvals[j], dtype=np.float64),
+                            snr, rng) for j in corrupted]
                         drawn = li, rep
                     nfeats = feats[name].copy()
                     nfeats[corrupted] = _extract_features(
-                        noisy, [paths[j] for j in corrupted], name, config)
+                        noisy, np.ones(len(noisy)),
+                        [paths[j] for j in corrupted], name, config)
                     accs[name].extend(_run_splits(nfeats, labels,
                                                   [(train, test)]))
                 except (OSError, ValueError) as exc:  # as for clean rows
@@ -426,14 +466,14 @@ def sweep_bf_params(config, sigma1_values, sigma2_values, epsilon_values):
     Pairs violating sigma1 < sigma2 are skipped and noted as failures.
     The preprocessor column carries the triple so rows are identifiable,
     and averaging across epsilon stays a plain group-by on that column.
-    The manifest and its images are loaded once for the whole grid.
+    The manifest and its images are read once for the whole grid.
     """
     grid = [(s1, s2, 0 < s1 < s2)
             for s1 in sigma1_values for s2 in sigma2_values]
     if not epsilon_values or not any(valid for _, _, valid in grid):
         raise ConfigError("no valid (sigma1, sigma2) pair in the grid")
     manifest = load_manifest(config.manifest_path, suite=config.suite)
-    images = [load_image(p) for p, _ in manifest.samples]
+    pixels, maxvals = _read_suite(manifest)
     rows, failures = [], []
     for s1, s2, valid in grid:
         if not valid:
@@ -441,10 +481,10 @@ def sweep_bf_params(config, sigma1_values, sigma2_values, epsilon_values):
                              "skipped: requires 0 < sigma1 < sigma2"))
             continue
         for eps in epsilon_values:
-            sub = run_experiment(replace(
+            sub = _run_loaded(replace(
                 config, preprocessors=("bf",),
                 bf_params=BfParams(sigma1=s1, sigma2=s2, epsilon=eps)),
-                manifest=manifest, images=images)
+                manifest, pixels, maxvals)
             for row in sub.rows:
                 row.preprocessor = f"bf[{s1:g},{s2:g},{eps:g}]"
             rows.extend(sub.rows)

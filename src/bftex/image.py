@@ -56,10 +56,12 @@ def _read_pgm_token(buf, pos):
     return buf[start:pos], pos
 
 
-def load_pgm(path):
-    """Read a binary (P5) PGM file into a float image scaled to [0, 1]."""
-    with open(path, "rb") as f:
-        buf = f.read()
+def _pgm_pixels(buf):
+    """(samples, maxval) of the binary (P5) PGM file held in ``buf``.
+
+    The samples are a read-only view of the payload in ``buf``, uint8 or,
+    when maxval is above 255, big-endian uint16.
+    """
     if buf[:2] != b"P5":
         raise ImageFormatError("not a binary PGM (missing P5 magic)", offset=0)
     pos = 2
@@ -77,16 +79,62 @@ def load_pgm(path):
     if not 0 < maxval < 65536:
         raise ImageFormatError(f"unsupported PGM maxval {maxval}", offset=2)
     pos += 1  # single whitespace after maxval
-    bytes_per = 1 if maxval < 256 else 2
-    need = width * height * bytes_per
-    payload = buf[pos:pos + need]
-    if len(payload) < need:
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+    need = width * height * dtype.itemsize
+    have = min(need, max(len(buf) - pos, 0))
+    if have < need:
         raise ImageFormatError(
-            f"truncated PGM payload: expected {need} bytes, got {len(payload)}",
-            offset=pos + len(payload))
-    dtype = ">u2" if bytes_per == 2 else np.uint8
-    data = np.frombuffer(payload, dtype=dtype).astype(np.float64)
-    return data.reshape(height, width) / maxval
+            f"truncated PGM payload: expected {need} bytes, got {have}",
+            offset=pos + have)
+    data = np.frombuffer(buf, dtype=dtype, count=width * height, offset=pos)
+    return data.reshape(height, width), maxval
+
+
+def _read_pixels(path):
+    """(samples, maxval) of a grayscale image file; ``samples / maxval`` is
+    the image on [0, 1].
+
+    The one reader behind ``load_image`` and the experiment harness, which
+    keeps a suite's images as read and scales a block at a time.  PGM
+    samples are as stored (see _pgm_pixels), gray PNG samples as decoded,
+    and a colour PNG gives float64 luma.
+    """
+    with open(path, "rb") as f:
+        magic = f.read(8)
+        if magic[:2] == b"P5":
+            f.seek(0)
+            return _pgm_pixels(f.read())
+    if magic != b"\x89PNG\r\n\x1a\n":
+        raise ImageFormatError(f"unsupported image format in {path!r}",
+                               offset=0)
+    try:
+        from PIL import Image
+    except ImportError:
+        raise ImageFormatError(
+            "PNG support requires Pillow (pip install bftex[png])") from None
+    with Image.open(path) as im:
+        # palette indices and bilevel bools are not intensities, and an
+        # alpha channel is not a colour
+        if im.mode in ("P", "PA"):
+            im = im.convert("RGB")
+        elif im.mode in ("1", "LA"):
+            im = im.convert("L")
+        arr = np.asarray(im)
+    # Pillow decodes 16-bit gray as I;16 (uint16) or I (int32), depending
+    # on its version
+    maxval = 65535.0 if arr.dtype.itemsize > 1 else 255.0
+    if arr.ndim == 3:
+        arr = arr.astype(np.float64)
+        arr = (LUMA_WEIGHTS[0] * arr[..., 0] + LUMA_WEIGHTS[1] * arr[..., 1]
+               + LUMA_WEIGHTS[2] * arr[..., 2])
+    return arr, maxval
+
+
+def load_pgm(path):
+    """Read a binary (P5) PGM file into a float image scaled to [0, 1]."""
+    with open(path, "rb") as f:
+        buf = f.read()
+    return np.divide(*_pgm_pixels(buf), dtype=np.float64)
 
 
 def load_image(path):
@@ -96,33 +144,7 @@ def load_image(path):
     weights before scaling.  Palette PNGs are looked up to RGB first, and
     bilevel and gray+alpha PNGs are read as 8-bit gray.
     """
-    with open(path, "rb") as f:
-        magic = f.read(8)
-    if magic[:2] == b"P5":
-        return load_pgm(path)
-    if magic == b"\x89PNG\r\n\x1a\n":
-        try:
-            from PIL import Image
-        except ImportError:
-            raise ImageFormatError(
-                "PNG support requires Pillow (pip install bftex[png])") from None
-        with Image.open(path) as im:
-            # palette indices and bilevel bools are not intensities, and
-            # an alpha channel is not a colour
-            if im.mode in ("P", "PA"):
-                im = im.convert("RGB")
-            elif im.mode in ("1", "LA"):
-                im = im.convert("L")
-            arr = np.asarray(im)
-        # Pillow decodes 16-bit gray as I;16 (uint16) or I (int32),
-        # depending on its version
-        maxval = 65535.0 if arr.dtype.itemsize > 1 else 255.0
-        arr = arr.astype(np.float64)
-        if arr.ndim == 3:
-            arr = (LUMA_WEIGHTS[0] * arr[..., 0] + LUMA_WEIGHTS[1] * arr[..., 1]
-                   + LUMA_WEIGHTS[2] * arr[..., 2])
-        return arr / maxval
-    raise ImageFormatError(f"unsupported image format in {path!r}", offset=0)
+    return np.divide(*_read_pixels(path), dtype=np.float64)
 
 
 def save_pgm(img, path):

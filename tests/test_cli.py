@@ -271,6 +271,8 @@ class TestExperimentCommand:
         ("repeats = 0", "repeats must be >= 1"),
         ("snr_levels = 5\nnoise_repeats = 0", "noise repeats must be >= 1"),
         ("timing = maybe", "invalid value for key 'timing': 'maybe'"),
+        ("snr_levels = 5,5", "repeated snr_levels: ['5']"),
+        ("snr_levels = 5, 5.0000001", "repeated snr_levels: ['5']"),
     ])
     def test_config_rejected_before_running(self, tmp_path, capsys, setting,
                                             message):

@@ -1,6 +1,11 @@
 import csv
+import hashlib
+import io
 import math
 import os
+import re
+import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +24,7 @@ from bftex.harness import (REPORT_COLUMNS, ConfigError, ExperimentConfig,
                            apply_preprocessor, build_experiment_config,
                            load_manifest, make_splits, parse_config_file,
                            run_experiment, sweep_bf_params)
-from bftex.image import gaussian_kernel_1d, load_image
+from bftex.image import NonFiniteImageError, gaussian_kernel_1d, load_image
 from bftex.retina import BfParams, split_maps
 from bftex.synthetic import generate_suite
 
@@ -177,6 +182,44 @@ class TestNoise:
         img = rng.random((64, 64))
         out = add_gaussian_noise(img, 1.0, rng)
         assert out.min() < 0 or out.max() > 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pixel_rejected_without_warning(self, rng, bad):
+        img = rng.random((8, 8))
+        img[3, 4] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteImageError):
+                add_gaussian_noise(img, 5.0, rng)
+
+    def test_variance_overflow_named(self, rng):
+        img = np.array([[1e300, -1e300], [0.0, 1e300]])  # finite pixels
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="variance overflows") as exc:
+                add_gaussian_noise(img, 5.0, rng)
+        assert not isinstance(exc.value, NonFiniteImageError)
+
+    def test_finite_image_not_scanned_again(self, rng, monkeypatch):
+        def scanned(img):
+            raise AssertionError("check_finite called on a finite image")
+
+        monkeypatch.setattr(harness, "check_finite", scanned)
+        add_gaussian_noise(rng.random((8, 8)), 5.0, rng)
+
+
+class TestNoiseSpec:
+    @pytest.mark.parametrize("levels,label", [
+        ((5.0, 5.0), "5"), ((5.0, 5.0000001), "5"), ((10.0, 3.0, 10.0), "10")])
+    def test_repeated_level_label_rejected(self, levels, label):
+        # the report's snr column could not tell the rows apart
+        with pytest.raises(ConfigError, match=re.escape(
+                f"repeated snr_levels: ['{label}']")):
+            NoiseSpec(snr_levels=levels)
+
+    def test_no_level_rejected(self):
+        with pytest.raises(ConfigError, match="at least one level"):
+            NoiseSpec(snr_levels=())
 
 
 @pytest.fixture(scope="module")
@@ -551,8 +594,8 @@ class TestBlockExtraction:
         assert blocks[-1] == (9, 10) and blocks[-2][0] == 7
         for subset in (images, images[4:5]):
             feats = harness._extract_features(
-                subset, [f"img{i}" for i in range(len(subset))],
-                preprocessor, config)
+                subset, np.ones(len(subset)),
+                [f"img{i}" for i in range(len(subset))], preprocessor, config)
             want = np.stack([
                 descriptors.extract(apply_preprocessor(img, preprocessor,
                                                        config),
@@ -708,8 +751,8 @@ class TestSweep:
     def test_loads_suite_once_and_matches_per_point_runs(self, small_suite,
                                                           monkeypatch):
         loaded = []
-        real = harness.load_image
-        monkeypatch.setattr(harness, "load_image",
+        real = harness._read_pixels
+        monkeypatch.setattr(harness, "_read_pixels",
                             lambda path: loaded.append(path) or real(path))
         config = small_config(small_suite, preprocessors=("bf",))
         grid = ([1.0, 5.0], [2.0, 3.0], [0.05, 0.1])
@@ -731,6 +774,82 @@ class TestSweep:
                     failures.extend(sub.failures)
         assert report.failures == failures
         assert report.to_csv() == ExperimentReport(rows, failures).to_csv()
+
+
+@pytest.fixture(scope="module")
+def mixed_suite(tmp_path_factory):
+    """The small suite with two images in three rewritten as 16-bit PGMs,
+    at maxval 65535 and 1000, so most blocks mix 8- and 16-bit files."""
+    out = tmp_path_factory.mktemp("suites") / "mixed"
+    manifest = generate_suite(out, n_classes=4, per_class=6, size=48, seed=5)
+    for i, (path, _) in enumerate(load_manifest(manifest).samples):
+        if i % 3 == 0:
+            continue
+        samples = np.frombuffer(Path(path).read_bytes()[-48 * 48:],
+                                dtype=np.uint8).astype(np.int64)
+        maxval = 65535 if i % 3 == 1 else 1000
+        wide = (samples * 257 if maxval == 65535
+                else (samples * 1000 + 127) // 255)
+        Path(path).write_bytes(f"P5\n48 48\n{maxval}\n".encode("ascii")
+                               + wide.astype(">u2").tobytes())
+    return manifest
+
+
+class TestFilePrecision:
+    """The harness holds each image at its file's precision and scales one
+    block at a time; every report byte is what float64 images give."""
+
+    NOISE = NoiseSpec(snr_levels=(10.0,), repeats=2, seed=3)
+
+    def test_suite_read_as_stored(self, mixed_suite):
+        manifest = load_manifest(mixed_suite)
+        pixels, maxvals = harness._read_suite(manifest)
+        assert [px.dtype.itemsize for px in pixels[:3]] == [1, 2, 2]
+        assert maxvals[:3].tolist() == [255.0, 65535.0, 1000.0]
+
+    def test_report_equals_float64_images(self, mixed_suite):
+        config = small_config(mixed_suite, noise=self.NOISE,
+                              corrupt_train=True)
+        manifest = load_manifest(mixed_suite)
+        images = [load_image(p) for p, _ in manifest.samples]
+        read = run_experiment(config).to_csv()
+        assert read == run_experiment(config, manifest=manifest,
+                                      images=images).to_csv()
+        # digest of this report from float64 images
+        assert hashlib.sha256(
+            run_experiment(replace(config, corrupt_train=False))
+            .to_csv().encode()).hexdigest() == \
+            "4c3c2e97aebf6ce9fb8b57cb27f546b7c2e1e0c2d175e9c49a48e82d4ae9b409"
+
+    def test_sweep_report_unchanged(self, mixed_suite):
+        config = small_config(mixed_suite, preprocessors=("bf",),
+                              noise=self.NOISE)
+        text = sweep_bf_params(config, [0.75, 1.0], [3.0],
+                               [0.05, 0.1]).to_csv()
+        # digest of this sweep's report from float64 images
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "cb1039b385a870654f41859bf654dc3a2394ab2bf4639fa4178246e57378bf03"
+        assert [row[1] for row in list(csv.reader(io.StringIO(text)))[1::2]] \
+            == ["bf[0.75,3,0.05]", "bf[0.75,3,0.1]", "bf[1,3,0.05]",
+                "bf[1,3,0.1]"]
+
+    def test_run_holds_less_than_a_float64_suite(self, tmp_path):
+        # 120 images of 64x64 from 8-bit files: 3.9 MB as float64, 0.5 MB
+        # as read; one block of LBP P=8 is 8 images
+        manifest = generate_suite(tmp_path / "suite", n_classes=4,
+                                  per_class=30, size=64, seed=0)
+        config = ExperimentConfig(
+            manifest_path=str(manifest), preprocessors=("none",),
+            descriptor=DescriptorConfig(family="lbp", p=8, r=1.0),
+            split=SplitPolicy(mode="random", n_train=10, repeats=1, seed=0))
+        run_experiment(config)  # first-call tables and scratch
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1.5 * peak < 120 * 64 * 64 * 8
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -4,9 +4,11 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bftex.image import (LUMA_WEIGHTS, ImageFormatError, NonFiniteImageError,
-                         check_finite, convolve_separable,
+                         _read_pixels, check_finite, convolve_separable,
                          gaussian_derivative_kernel_1d, gaussian_kernel_1d,
                          load_image, load_pgm, save_csv_matrix, save_pgm)
 
@@ -159,6 +161,85 @@ class TestPngIO:
             assert img.dtype == np.float64 and img.shape == (2, 3), name
             np.testing.assert_allclose(img, want, rtol=0, atol=1e-12,
                                        err_msg=name)
+
+
+def bits(img):
+    """An array's dtype and bytes, so that equal bits compare equal."""
+    return img.dtype, img.shape, img.tobytes()
+
+
+class TestReadPixels:
+    """One reader serves load_image and the harness: the samples as the
+    file stores them, and the maxval that scales them."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(h=st.integers(1, 6), w=st.integers(1, 7),
+           maxval=st.sampled_from([1, 255, 256, 1000, 65535]), data=st.data())
+    def test_pgm_samples_as_stored(self, tmp_path, h, w, maxval, data):
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        # samples may exceed maxval: they scale past 1 as they always have
+        samples = np.array(data.draw(st.lists(
+            st.integers(0, np.iinfo(dtype).max), min_size=h * w,
+            max_size=h * w)), dtype=dtype).reshape(h, w)
+        p = tmp_path / "h.pgm"
+        write_pgm_bytes(p, f"P5\n{w} {h}\n{maxval}\n".encode(),
+                        samples.tobytes())
+        pixels, got_maxval = _read_pixels(p)
+        assert got_maxval == maxval
+        assert pixels.dtype == dtype and np.array_equal(pixels, samples)
+        base = pixels
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, bytes)  # a view of the file's bytes
+        # the whole payload cast to float64, then one division
+        want = samples.astype(np.float64) / maxval
+        assert bits(load_image(p)) == bits(want)
+        assert bits(load_pgm(p)) == bits(want)
+        assert bits(load_image(p)) == \
+            bits(np.divide(*_read_pixels(p), dtype=np.float64))
+
+    def test_unknown_format_rejected(self, tmp_path):
+        p = tmp_path / "x.bmp"
+        p.write_bytes(b"BM" + bytes(20))
+        with pytest.raises(ImageFormatError, match="unsupported image format"):
+            _read_pixels(p)
+
+    def test_png_modes(self, tmp_path):
+        pytest.importorskip("PIL")
+        gray8 = np.array([[0, 255, 128], [64, 1, 254]])
+        gray16 = np.array([[0, 65535, 4660], [1, 32768, 65534]])
+        rgb = np.array([[[255, 0, 0], [0, 255, 0], [0, 0, 255]],
+                        [[10, 200, 30], [255, 255, 255], [0, 0, 0]]])
+        palette = np.array([[255, 0, 0], [0, 0, 255], [10, 200, 30]])
+        index = np.array([[0, 1, 2], [2, 2, 0]])
+        bilevel = np.array([[1, 0, 1], [0, 0, 1]])
+        luma = lambda c: sum(w * c[..., i] for i, w in enumerate(LUMA_WEIGHTS))
+        # name, pixels, bit depth, colour type, samples, maxval
+        for name, pixels, depth, ctype, samples, maxval in (
+                ("gray8", gray8, 8, None, gray8, 255.0),
+                # Pillow gives I;16 (uint16) or I (int32) by version
+                ("gray16", gray16, 16, None, gray16, 65535.0),
+                ("rgb", rgb, 8, None, luma(rgb.astype(np.float64)), 255.0),
+                ("palette", index, 8, 3,
+                 luma(palette[index].astype(np.float64)), 255.0),
+                ("bilevel", bilevel, 1, 0, bilevel * 255, 255.0),
+                ("gray_alpha", np.stack([gray8, 255 - gray8], axis=-1), 8, 4,
+                 gray8, 255.0)):
+            p = tmp_path / f"{name}.png"
+            write_png(p, pixels, depth, ctype,
+                      palette if ctype == 3 else None)
+            got, got_maxval = _read_pixels(p)
+            assert got_maxval == maxval, name
+            if samples.dtype == np.float64:  # colour: luma before scaling
+                assert got.dtype == np.float64, name
+                np.testing.assert_allclose(got, samples, rtol=0, atol=1e-9,
+                                           err_msg=name)
+            else:  # gray: the decoded integers
+                assert got.dtype.kind in "ui", name
+                assert np.array_equal(got, samples), name
+            assert bits(load_image(p)) == \
+                bits(np.divide(got, maxval, dtype=np.float64)), name
 
 
 class TestCsvIO:
