@@ -142,6 +142,7 @@ def cmd_experiment(args):
 
 def cmd_sweep(args):
     values = harness.parse_config_file(args.config)
+    harness.check_sweep_config(values)
     config = harness.build_experiment_config(
         values, base_dir=os.path.dirname(os.path.abspath(args.config)))
     grid = harness.build_sweep_grid(harness.parse_config_file(args.grid))

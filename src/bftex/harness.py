@@ -212,7 +212,8 @@ def add_gaussian_noise(img, snr, rng):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One harness run: suite, preprocessors, descriptor, split, noise."""
+    """One harness run: suite, preprocessors, descriptor, split, noise.
+    A BfParams preprocessor entry means bf at those parameters."""
 
     manifest_path: str
     suite: str = None
@@ -228,11 +229,14 @@ class ExperimentConfig:
     include_timing: bool = False
 
     def __post_init__(self):
-        names = self.preprocessors
-        unknown = set(names) - set(baselines.BASELINE_NAMES)
+        unknown = {entry for entry in self.preprocessors
+                   if not isinstance(entry, BfParams)
+                   and entry not in baselines.BASELINE_NAMES}
         if unknown:
             raise ConfigError(f"unknown preprocessors: {sorted(unknown)}")
-        repeated = {name for name in names if names.count(name) > 1}
+        # rows and failures carry labels, so two entries may not share one
+        labels = [_label(entry) for entry in self.preprocessors]
+        repeated = {lab for lab in labels if labels.count(lab) > 1}
         if repeated:
             raise ConfigError(f"repeated preprocessors: {sorted(repeated)}")
         for name in ("gamma", "deriv_sigma"):
@@ -241,9 +245,18 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be in (0, inf), got {value}")
 
 
+def _label(entry):
+    """A preprocessor entry's name, or bf[sigma1,sigma2,epsilon]."""
+    if isinstance(entry, BfParams):
+        return f"bf[{entry.sigma1:g},{entry.sigma2:g},{entry.epsilon:g}]"
+    return entry
+
+
 def apply_preprocessor(img, name, config):
-    """Run the named preprocessor on an image or a stack of them; 'bf'
-    yields an ON/OFF map pair."""
+    """Run the named preprocessor (or bf at a BfParams entry's parameters)
+    on an image or a stack of them; bf yields an ON/OFF map pair."""
+    if isinstance(name, BfParams):
+        return bf_preprocess(img, name)
     if name == "none":
         return img
     if name == "bf":
@@ -378,18 +391,16 @@ def run_experiment(config, manifest=None, images=None):
     extracted again.  Each repeat's noisy images are drawn on first use and
     shared by every preprocessor.  A preprocessor that fails on bad input
     (OSError or ValueError) keeps the rows it finished and is recorded as a
-    failure, and the others still run; any other error propagates.  Clean
-    rows carry timings only when config.include_timing is set.
+    failure under its label, and the others still run; any other error
+    propagates.  Clean rows carry timings only when config.include_timing
+    is set.
     """
     if manifest is None:
         manifest = load_manifest(config.manifest_path, suite=config.suite)
     if images is None:
-        return _run_loaded(config, manifest, *_read_suite(manifest))
-    return _run_loaded(config, manifest, images, np.ones(len(images)))
-
-
-def _run_loaded(config, manifest, pixels, maxvals):
-    """run_experiment on the images ``pixels / maxvals`` of the manifest."""
+        pixels, maxvals = _read_suite(manifest)
+    else:
+        pixels, maxvals = images, np.ones(len(images))
     suite = config.suite or manifest.suite
     paths = [path for path, _ in manifest.samples]
     labels = np.asarray([lab for _, lab in manifest.samples], dtype=np.int64)
@@ -399,13 +410,13 @@ def _run_loaded(config, manifest, pixels, maxvals):
     def row(name, snr, accs, fsize, extract_ms=None, match_ms=None):
         std = float(np.std(accs, ddof=1)) if len(accs) > 1 else None
         return ReportRow(
-            suite=suite, preprocessor=name, family=desc.family,
+            suite=suite, preprocessor=_label(name), family=desc.family,
             scheme=desc.scheme, p=desc.p, r=desc.r, snr=snr,
             mean_accuracy=float(np.mean(accs)), std_accuracy=std,
             feature_size=fsize, extract_ms=extract_ms, match_ms=match_ms)
 
-    # by preprocessor name; the loops run level, repeat, preprocessor so that
-    # each repeat's noise is drawn once, yet rows list preprocessor first
+    # by preprocessor entry; the loops run level, repeat, preprocessor so
+    # that each repeat's noise is drawn once, yet rows list preprocessor first
     names = config.preprocessors
     feats, rows, failed = {}, {name: [] for name in names}, {}
     for name in names:
@@ -420,7 +431,9 @@ def _run_loaded(config, manifest, pixels, maxvals):
                           (time.perf_counter() - t1) * 1000.0
                           / sum(len(test) for _, test in splits))
             rows[name].append(row(name, "clean", accs, hists.shape[1], *timing))
-            feats[name] = hists
+            if config.noise:  # kept for the noise rows only
+                feats[name] = hists
+            del hists
         except (OSError, ValueError) as exc:  # keep remaining rows running
             failed[name] = f"{type(exc).__name__}: {exc}"
     # noisy holds the draw of repeat `drawn` until the next draw replaces it.
@@ -456,40 +469,28 @@ def _run_loaded(config, manifest, pixels, maxvals):
             rows[name].append(row(name, f"{snr:g}", accs[name],
                                   feats[name].shape[1]))
     return ExperimentReport(rows=[r for name in names for r in rows[name]],
-                            failures=[(name, failed[name]) for name in names
-                                      if name in failed])
+                            failures=[(_label(name), failed[name])
+                                      for name in names if name in failed])
 
 
 def sweep_bf_params(config, sigma1_values, sigma2_values, epsilon_values):
-    """Run the experiment once per valid (sigma1, sigma2, epsilon) triple.
+    """The experiment over one BfParams entry per valid (sigma1, sigma2,
+    epsilon) triple, in grid order, in place of config.preprocessors.
 
-    Pairs violating sigma1 < sigma2 are skipped and noted as failures.
-    The preprocessor column carries the triple so rows are identifiable,
-    and averaging across epsilon stays a plain group-by on that column.
-    The manifest and its images are read once for the whole grid.
+    Pairs violating sigma1 < sigma2 are skipped and listed first among the
+    failures.  The preprocessor column carries each entry's label, so
+    averaging across epsilon stays a plain group-by on that column.
     """
-    grid = [(s1, s2, 0 < s1 < s2)
-            for s1 in sigma1_values for s2 in sigma2_values]
-    if not epsilon_values or not any(valid for _, _, valid in grid):
+    pairs = [(s1, s2) for s1 in sigma1_values for s2 in sigma2_values]
+    entries = tuple(BfParams(s1, s2, eps) for s1, s2 in pairs if 0 < s1 < s2
+                    for eps in epsilon_values)
+    if not entries:
         raise ConfigError("no valid (sigma1, sigma2) pair in the grid")
-    manifest = load_manifest(config.manifest_path, suite=config.suite)
-    pixels, maxvals = _read_suite(manifest)
-    rows, failures = [], []
-    for s1, s2, valid in grid:
-        if not valid:
-            failures.append((f"bf[{s1:g},{s2:g},*]",
-                             "skipped: requires 0 < sigma1 < sigma2"))
-            continue
-        for eps in epsilon_values:
-            sub = _run_loaded(replace(
-                config, preprocessors=("bf",),
-                bf_params=BfParams(sigma1=s1, sigma2=s2, epsilon=eps)),
-                manifest, pixels, maxvals)
-            for row in sub.rows:
-                row.preprocessor = f"bf[{s1:g},{s2:g},{eps:g}]"
-            rows.extend(sub.rows)
-            failures.extend(sub.failures)
-    return ExperimentReport(rows=rows, failures=failures)
+    report = run_experiment(replace(config, preprocessors=entries))
+    report.failures[:0] = [(f"bf[{s1:g},{s2:g},*]",
+                            "skipped: requires 0 < sigma1 < sigma2")
+                           for s1, s2 in pairs if not 0 < s1 < s2]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -633,3 +634,15 @@ def build_sweep_grid(values):
     check_keys(values, SWEEP_GRID)
     return [_get(values, key, _float_list, axis)
             for key, axis in SWEEP_GRID.items()]
+
+
+def check_sweep_config(values):
+    """Reject the experiment config keys that a sweep's grid sets: sigma1,
+    sigma2 and epsilon, and preprocessor unless it is exactly bf."""
+    overridden = [key for key in SWEEP_GRID if key in values]
+    if values.get("preprocessor", "bf") != "bf":
+        overridden.insert(0, "preprocessor")
+    if overridden:
+        raise ConfigError(f"a sweep's grid sets "
+                          f"{', '.join(map(repr, overridden))}, so its config "
+                          f"may not (preprocessor only as bf)")

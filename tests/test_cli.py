@@ -1,3 +1,4 @@
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,53 @@ class TestSweepCommand:
         grid.write_text("sigma1 = abc\n")
         assert run_cli(["sweep", "--config", str(cfg), "--grid", str(grid)]) == 2
         assert "'sigma1'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("line,key", [
+        ("sigma1 = 0.5", "'sigma1'"), ("epsilon = 0.2", "'epsilon'"),
+        ("preprocessor = none,dog", "'preprocessor'"),
+        ("preprocessor = bf,none", "'preprocessor'")])
+    def test_config_key_set_by_the_grid_rejected(self, tmp_path, capsys,
+                                                 line, key):
+        manifest = generate_suite(tmp_path / "suite", n_classes=4,
+                                  per_class=4, size=48, seed=3)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"manifest = {manifest}\nn_train = 2\n{line}\n")
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("sigma1 = 1.0\nsigma2 = 3.0\nepsilon = 0.1\n")
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--config", str(cfg), "--grid", str(grid),
+                        "--out", str(out)]) == 2
+        assert f"a sweep's grid sets {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_preprocessor_bf_accepted(self, tmp_path):
+        manifest = generate_suite(tmp_path / "suite", n_classes=4,
+                                  per_class=4, size=48, seed=3)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"manifest = {manifest}\npreprocessor = bf\n"
+                       "n_train = 2\n")
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("sigma1 = 1.0\nsigma2 = 3.0\nepsilon = 0.1,0.2\n")
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--config", str(cfg), "--grid", str(grid),
+                        "--out", str(out)]) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert [row[1] for row in rows[1:]] == ["bf[1,3,0.1]", "bf[1,3,0.2]"]
+
+    def test_repeated_grid_value_is_usage_error(self, tmp_path, capsys):
+        manifest = generate_suite(tmp_path / "suite", n_classes=4,
+                                  per_class=4, size=48, seed=3)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"manifest = {manifest}\nn_train = 2\n")
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("sigma1 = 1.0\nsigma2 = 3.0\nepsilon = 0.1,0.1\n")
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--config", str(cfg), "--grid", str(grid),
+                        "--out", str(out)]) == 2
+        assert "repeated preprocessors: ['bf[1,3,0.1]']" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGenSynthetic:

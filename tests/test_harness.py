@@ -573,7 +573,8 @@ class TestBlockExtraction:
     extract gives it alone."""
 
     @pytest.mark.parametrize("preprocessor",
-                             ["none", "bf", "dog", "gamma", "gderiv1"])
+                             ["none", "bf", "dog", "gamma", "gderiv1",
+                              BfParams(0.5, 3.0, 0.05)])
     @pytest.mark.parametrize("family", sorted(BLOCK_DESCRIPTORS))
     def test_equals_per_image_extract(self, rng, monkeypatch, family,
                                       preprocessor):
@@ -774,6 +775,113 @@ class TestSweep:
                     failures.extend(sub.failures)
         assert report.failures == failures
         assert report.to_csv() == ExperimentReport(rows, failures).to_csv()
+
+    def test_failures_name_their_grid_point(self, small_suite):
+        # R = 30 needs 63x63 images, so every grid point fails
+        config = small_config(small_suite, descriptor=DescriptorConfig(
+            family="lbp", p=8, r=30.0))
+        report = sweep_bf_params(config, [0.5, 1.0], [3.0], [0.05, 0.1])
+        reason = ("ValueError: image 48x48 too small for R=30.0 "
+                  "(need at least 63x63)")
+        assert report.rows == []
+        assert report.failures == [
+            (label, reason) for label in ("bf[0.5,3,0.05]", "bf[0.5,3,0.1]",
+                                          "bf[1,3,0.05]", "bf[1,3,0.1]")]
+
+    def test_skipped_pairs_listed_first(self, small_suite):
+        config = small_config(small_suite, descriptor=DescriptorConfig(
+            family="lbp", p=8, r=30.0))
+        report = sweep_bf_params(config, [1.0, 5.0], [3.0, 4.0], [0.1])
+        assert [label for label, _ in report.failures] == [
+            "bf[5,3,*]", "bf[5,4,*]", "bf[1,3,0.1]", "bf[1,4,0.1]"]
+
+    def test_repeated_grid_value_rejected(self, small_suite):
+        with pytest.raises(ConfigError, match=re.escape(
+                "repeated preprocessors: ['bf[1,3,0.1]']")):
+            sweep_bf_params(small_config(small_suite), [1.0], [3.0],
+                            [0.1, 0.1])
+
+    def test_noise_drawn_once_per_repeat_for_the_whole_grid(self, small_suite,
+                                                             monkeypatch):
+        draws, real = [], harness.add_gaussian_noise
+        monkeypatch.setattr(harness, "add_gaussian_noise",
+                            lambda img, snr, rng: draws.append(snr)
+                            or real(img, snr, rng))
+        noise = NoiseSpec(snr_levels=(10.0, 3.0), repeats=2, seed=6)
+        report = sweep_bf_params(small_config(small_suite, noise=noise),
+                                 [0.5, 1.0], [3.0], [0.05, 0.1])
+        assert len(report.rows) == 4 * 3
+        # 12 test images a split (3 of 6 per class held out, 4 classes)
+        assert draws == [snr for snr in noise.snr_levels for _ in range(2 * 12)]
+
+
+class TestBfParamsEntry:
+    """A BfParams preprocessor entry is bf at those parameters, reported
+    under its bf[sigma1,sigma2,epsilon] label."""
+
+    def test_equals_bf_at_the_config_params(self, small_suite):
+        params = BfParams(0.75, 3.0, 0.05)
+        noise = NoiseSpec(snr_levels=(10.0,), repeats=2, seed=6)
+        entry = run_experiment(small_config(
+            small_suite, preprocessors=(params, "bf"), noise=noise))
+        named = run_experiment(small_config(
+            small_suite, preprocessors=("bf",), bf_params=params, noise=noise))
+        labelled = [replace(row, preprocessor="bf[0.75,3,0.05]")
+                    for row in named.rows]
+        assert entry.rows[:2] == labelled
+        assert [row.preprocessor for row in entry.rows[2:]] == ["bf", "bf"]
+
+    def test_label_shared_with_another_entry_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "repeated preprocessors: ['bf[1,4,0.1]']")):
+            ExperimentConfig(manifest_path="unused", preprocessors=(
+                BfParams(1.0, 4.0, 0.1), "none", BfParams(1.0, 4.0, 0.1000001)))
+
+
+# wld is left out: its centre floor of 1/255 is absolute, so on filtered
+# input (centres near 0) the floor binds at one gain and not at another
+GAIN_DESCRIPTORS = {
+    "lbp": DescriptorConfig(family="lbp", p=8, r=1.0),
+    "clbp": DescriptorConfig(family="clbp", scheme="S/M/C", p=8, r=1.0),
+    "clbc": DescriptorConfig(family="clbc", scheme="S/M/C", p=8, r=1.0),
+    "ltp": DescriptorConfig(family="ltp", p=8, r=1.0),
+}
+
+
+class TestGainEquivariance:
+    """A gain of 2^k on the images, with epsilon and ltp_t scaled alike,
+    scales every filter response and threshold exactly, so no histogram
+    bit moves; noise drawn at a fixed SNR scales with the image."""
+
+    @pytest.mark.parametrize("preprocessor",
+                             ["none", "bf", "dog", "gderiv1", "gderiv2"])
+    @pytest.mark.parametrize("family", sorted(GAIN_DESCRIPTORS))
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(k=st.integers(-3, 3), seed=st.integers(0, 2**32 - 1))
+    def test_histograms_unchanged(self, family, preprocessor, k, seed):
+        images = np.random.default_rng(seed).random((3, 16, 16))
+        desc = GAIN_DESCRIPTORS[family]
+
+        def hists(gain):
+            config = ExperimentConfig(
+                manifest_path="unused",
+                bf_params=BfParams(1.0, 2.0, 0.02 * gain),
+                descriptor=replace(desc, ltp_t=desc.ltp_t * gain))
+            return descriptors.extract(
+                apply_preprocessor(images * gain, preprocessor, config),
+                config.descriptor)
+
+        assert np.array_equal(hists(2.0 ** k), hists(1.0))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(k=st.integers(-3, 3), seed=st.integers(0, 2**32 - 1),
+           snr=st.sampled_from([30.0, 5.0, 3.0]))
+    def test_noise_scales_with_the_image(self, k, seed, snr):
+        img = np.random.default_rng(seed).random((16, 16))
+        gain = 2.0 ** k
+        assert np.array_equal(
+            add_gaussian_noise(gain * img, snr, harness._rng(seed)),
+            gain * add_gaussian_noise(img, snr, harness._rng(seed)))
 
 
 @pytest.fixture(scope="module")
