@@ -61,6 +61,9 @@ class Manifest:
         labels = [lab for _, lab in self.samples]
         if len(set(labels)) < 2:
             raise ManifestError("manifest must contain at least 2 classes")
+        negative = sorted({lab for lab in labels if lab < 0})
+        if negative:
+            raise ManifestError(f"negative labels: {negative}")
         paths = [p for p, _ in self.samples]
         if len(set(paths)) != len(paths):
             raise ManifestError("manifest contains duplicate paths")
@@ -336,26 +339,49 @@ def _read_suite(manifest):
             np.array([maxval for _, maxval in read], dtype=np.float64))
 
 
-def _extract_features(pixels, maxvals, paths, name, config):
-    """Descriptor histograms of the images ``pixels / maxvals`` after
-    preprocessing, extracted a block at a time (see _blocks): only the
-    block in hand is made float64.  An image with a NaN or infinite pixel
-    is named by its path."""
-    feats = None
-    for lo, hi in _blocks(pixels, config.descriptor.spec):
-        block = np.stack(pixels[lo:hi], dtype=np.float64)
-        block /= maxvals[lo:hi, None, None]
+def _extract_features(pixels, maxvals, paths, ids, entries, config, failed,
+                      noise=None):
+    """Histograms of the images ``pixels[j] / maxvals[j]`` for j in
+    ``ids``, by preprocessor entry, for each entry that did not fail.
+
+    Each block (see _blocks) is made float64 once and read by every entry
+    still running; with ``noise`` as (snr, rng), add_gaussian_noise is
+    first applied to each of its images in ``ids`` order.  An entry that
+    fails on bad input (OSError or ValueError) is recorded in ``failed``
+    and reads no further block, and a failed draw fails every entry still
+    running.  An image with a NaN or infinite pixel is named by its path.
+    """
+    feats = {}
+    for lo, hi in _blocks([pixels[j] for j in ids], config.descriptor.spec):
+        live = [entry for entry in entries if entry not in failed]
+        if not live:
+            break
+        block = np.empty((hi - lo,) + np.shape(pixels[ids[lo]]))
         try:
-            hists = descriptors.extract(
-                apply_preprocessor(block, name, config), config.descriptor)
-        except NonFiniteImageError as exc:
-            raise NonFiniteImageError(
-                f"{paths[lo + exc.index]}: image has NaN or infinite "
-                f"pixels") from None
-        if feats is None:
-            feats = np.empty((len(pixels), hists.shape[1]))
-        feats[lo:hi] = hists
-    return feats
+            for k, j in enumerate(ids[lo:hi]):
+                np.divide(pixels[j], maxvals[j], out=block[k])
+                if noise:
+                    block[k] = add_gaussian_noise(block[k], *noise)
+        except (OSError, ValueError) as exc:
+            failed.update(dict.fromkeys(live,
+                                        f"{type(exc).__name__}: {exc}"))
+            break
+        for entry in live:
+            try:
+                hists = descriptors.extract(
+                    apply_preprocessor(block, entry, config),
+                    config.descriptor)
+            except (OSError, ValueError) as exc:
+                if isinstance(exc, NonFiniteImageError):
+                    exc = NonFiniteImageError(
+                        f"{paths[ids[lo + exc.index]]}: image has NaN or "
+                        f"infinite pixels")
+                failed[entry] = f"{type(exc).__name__}: {exc}"
+                continue
+            if entry not in feats:
+                feats[entry] = np.empty((len(ids), hists.shape[1]))
+            feats[entry][lo:hi] = hists
+    return {entry: f for entry, f in feats.items() if entry not in failed}
 
 
 def _run_splits(feats, labels, splits):
@@ -388,12 +414,14 @@ def run_experiment(config, manifest=None, images=None):
     Clean accuracy is always reported; when a noise spec is present, one
     row per SNR level follows.  Noise is applied to test images only
     unless corrupt_train is set, and only the corrupted images are
-    extracted again.  Each repeat's noisy images are drawn on first use and
-    shared by every preprocessor.  A preprocessor that fails on bad input
-    (OSError or ValueError) keeps the rows it finished and is recorded as a
-    failure under its label, and the others still run; any other error
-    propagates.  Clean rows carry timings only when config.include_timing
-    is set.
+    extracted again.  Clean rows run one preprocessor at a time; each noise
+    repeat is one pass over its corrupted images a block at a time, with
+    the noise drawn into the block and shared by every preprocessor still
+    running (see _extract_features).  A preprocessor that fails on bad
+    input (OSError or ValueError) while its images are drawn, preprocessed
+    or described keeps the rows it finished and is recorded as a failure under
+    its label, and the others still run; any other error propagates.  Clean
+    rows carry timings only when config.include_timing is set.
     """
     if manifest is None:
         manifest = load_manifest(config.manifest_path, suite=config.suite)
@@ -415,56 +443,42 @@ def run_experiment(config, manifest=None, images=None):
             mean_accuracy=float(np.mean(accs)), std_accuracy=std,
             feature_size=fsize, extract_ms=extract_ms, match_ms=match_ms)
 
-    # by preprocessor entry; the loops run level, repeat, preprocessor so
-    # that each repeat's noise is drawn once, yet rows list preprocessor first
+    # by preprocessor entry; the noise loops run level, repeat, block so that
+    # each repeat's noise is drawn once, yet rows list preprocessor first
     names = config.preprocessors
     feats, rows, failed = {}, {name: [] for name in names}, {}
     for name in names:
-        try:
-            t0 = time.perf_counter()
-            hists = _extract_features(pixels, maxvals, paths, name, config)
-            t1 = time.perf_counter()
-            accs = _run_splits(hists, labels, splits)
-            timing = ()
-            if config.include_timing:  # mean ms per image and per query
-                timing = ((t1 - t0) * 1000.0 / len(pixels),
-                          (time.perf_counter() - t1) * 1000.0
-                          / sum(len(test) for _, test in splits))
-            rows[name].append(row(name, "clean", accs, hists.shape[1], *timing))
-            if config.noise:  # kept for the noise rows only
-                feats[name] = hists
-            del hists
-        except (OSError, ValueError) as exc:  # keep remaining rows running
-            failed[name] = f"{type(exc).__name__}: {exc}"
-    # noisy holds the draw of repeat `drawn` until the next draw replaces it.
-    # Freeing it before each draw did not help: a later criterion-6 benchmark
-    # pass then took 17.8k minor page faults instead of 10.6k.  Both counts
-    # rest on where malloc places these images and each block's arrays.
-    noisy, drawn = None, None
+        t0 = time.perf_counter()
+        hists = _extract_features(pixels, maxvals, paths, range(len(pixels)),
+                                  (name,), config, failed).get(name)
+        if hists is None:  # failed; the other preprocessors still run
+            continue
+        t1 = time.perf_counter()
+        accs = _run_splits(hists, labels, splits)
+        timing = ()
+        if config.include_timing:  # mean ms per image and per query
+            timing = ((t1 - t0) * 1000.0 / len(pixels),
+                      (time.perf_counter() - t1) * 1000.0
+                      / sum(len(test) for _, test in splits))
+        rows[name].append(row(name, "clean", accs, hists.shape[1], *timing))
+        if config.noise:  # kept for the noise rows only
+            feats[name] = hists
+        del hists
     for li, snr in enumerate(config.noise.snr_levels if config.noise else ()):
         accs = {name: [] for name in feats}
         for rep in range(config.noise.repeats):
             train, test = splits[rep % len(splits)]
-            # the first live preprocessor draws noise for the test images
-            # first, in index order; untouched images keep clean features
+            # noise goes on the test images first, in index order; untouched
+            # images keep their clean features
             corrupted = test + (train if config.corrupt_train else [])
-            for name in list(feats):
-                try:
-                    if drawn != (li, rep):  # a failed draw fails each in turn
-                        rng = _rng(config.noise.seed, li, rep)
-                        noisy = [add_gaussian_noise(
-                            np.divide(pixels[j], maxvals[j], dtype=np.float64),
-                            snr, rng) for j in corrupted]
-                        drawn = li, rep
-                    nfeats = feats[name].copy()
-                    nfeats[corrupted] = _extract_features(
-                        noisy, np.ones(len(noisy)),
-                        [paths[j] for j in corrupted], name, config)
-                    accs[name].extend(_run_splits(nfeats, labels,
-                                                  [(train, test)]))
-                except (OSError, ValueError) as exc:  # as for clean rows
-                    failed[name] = f"{type(exc).__name__}: {exc}"
-                    del feats[name]  # so it runs no more
+            redone = _extract_features(pixels, maxvals, paths, corrupted,
+                                       tuple(feats), config, failed,
+                                       (snr, _rng(config.noise.seed, li, rep)))
+            for name, hists in redone.items():
+                nfeats = feats[name].copy()
+                nfeats[corrupted] = hists
+                accs[name].extend(_run_splits(nfeats, labels, [(train, test)]))
+        feats = {name: f for name, f in feats.items() if name not in failed}
         for name in feats:
             rows[name].append(row(name, f"{snr:g}", accs[name],
                                   feats[name].shape[1]))
@@ -477,10 +491,16 @@ def sweep_bf_params(config, sigma1_values, sigma2_values, epsilon_values):
     """The experiment over one BfParams entry per valid (sigma1, sigma2,
     epsilon) triple, in grid order, in place of config.preprocessors.
 
-    Pairs violating sigma1 < sigma2 are skipped and listed first among the
-    failures.  The preprocessor column carries each entry's label, so
-    averaging across epsilon stays a plain group-by on that column.
+    The grid sets the filter, so config.preprocessors must be ("bf",) and
+    config.bf_params is not read.  Pairs violating sigma1 < sigma2 are
+    skipped and listed first among the failures.  The preprocessor column
+    carries each entry's label, so averaging across epsilon stays a plain
+    group-by on that column.
     """
+    if config.preprocessors != ("bf",):
+        labels = [_label(entry) for entry in config.preprocessors]
+        raise ConfigError(f"a sweep's grid sets 'preprocessor', so its config "
+                          f"may give only bf, not {labels}")
     pairs = [(s1, s2) for s1 in sigma1_values for s2 in sigma2_values]
     entries = tuple(BfParams(s1, s2, eps) for s1, s2 in pairs if 0 < s1 < s2
                     for eps in epsilon_values)
@@ -638,11 +658,9 @@ def build_sweep_grid(values):
 
 def check_sweep_config(values):
     """Reject the experiment config keys that a sweep's grid sets: sigma1,
-    sigma2 and epsilon, and preprocessor unless it is exactly bf."""
+    sigma2 and epsilon (sweep_bf_params checks the preprocessors)."""
     overridden = [key for key in SWEEP_GRID if key in values]
-    if values.get("preprocessor", "bf") != "bf":
-        overridden.insert(0, "preprocessor")
     if overridden:
         raise ConfigError(f"a sweep's grid sets "
                           f"{', '.join(map(repr, overridden))}, so its config "
-                          f"may not (preprocessor only as bf)")
+                          f"may not")

@@ -54,6 +54,12 @@ class TestManifest:
         with pytest.raises(ManifestError, match=":1"):
             load_manifest(p)
 
+    def test_negative_label_rejected_in_code(self):
+        # evaluate would fail every row only after every image is extracted
+        with pytest.raises(ManifestError,
+                           match=re.escape("negative labels: [-2, -1]")):
+            Manifest(samples=[("a.pgm", -1), ("b.pgm", 0), ("c.pgm", -2)])
+
     def test_non_integer_label(self, tmp_path):
         p = write_manifest(tmp_path / "m.txt", ["a.pgm x", "b.pgm 0"])
         with pytest.raises(ManifestError, match="non-integer"):
@@ -596,7 +602,8 @@ class TestBlockExtraction:
         for subset in (images, images[4:5]):
             feats = harness._extract_features(
                 subset, np.ones(len(subset)),
-                [f"img{i}" for i in range(len(subset))], preprocessor, config)
+                [f"img{i}" for i in range(len(subset))],
+                range(len(subset)), (preprocessor,), config, {})[preprocessor]
             want = np.stack([
                 descriptors.extract(apply_preprocessor(img, preprocessor,
                                                        config),
@@ -725,17 +732,40 @@ class TestNoiseSharedByPreprocessors:
         assert report.failures == [("bf", "ValueError: no noise today"),
                                    ("none", "ValueError: no noise today")]
 
+    @pytest.mark.parametrize("block_cells", [harness._BLOCK_CELLS, 1])
+    def test_draw_failing_at_a_later_image_fails_every_preprocessor(
+            self, small_suite, monkeypatch, block_cells):
+        real, draws = harness.add_gaussian_noise, []
+
+        def failing(img, snr, rng):
+            if snr == 3.0:
+                draws.append(snr)
+                if len(draws) > 17:  # the sixth image of the second repeat
+                    raise ValueError("no noise today")
+            return real(img, snr, rng)
+
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(harness, "add_gaussian_noise", failing)
+        report = run_experiment(small_config(
+            small_suite, preprocessors=("bf", "none"), noise=self.NOISE))
+        assert [(r.preprocessor, r.snr) for r in report.rows] == [
+            ("bf", "clean"), ("bf", "10"), ("none", "clean"), ("none", "10")]
+        assert report.failures == [("bf", "ValueError: no noise today"),
+                                   ("none", "ValueError: no noise today")]
+
 
 class TestSweep:
     def test_invalid_pairs_skipped(self, small_suite):
-        report = sweep_bf_params(small_config(small_suite), [3.0, 1.0], [2.0],
-                                 [0.1])
+        report = sweep_bf_params(small_config(small_suite,
+                                              preprocessors=("bf",)),
+                                 [3.0, 1.0], [2.0], [0.1])
         assert any("skipped" in reason for _, reason in report.failures)
         assert len(report.rows) == 1
 
     def test_empty_grid_rejected(self, small_suite):
         with pytest.raises(ConfigError):
-            sweep_bf_params(small_config(small_suite), [3.0], [2.0], [0.1])
+            sweep_bf_params(small_config(small_suite, preprocessors=("bf",)),
+                            [3.0], [2.0], [0.1])
 
     def test_grid_axis_left_out_takes_its_default(self):
         assert harness.build_sweep_grid({"sigma2": "3, 4"}) == [
@@ -778,8 +808,9 @@ class TestSweep:
 
     def test_failures_name_their_grid_point(self, small_suite):
         # R = 30 needs 63x63 images, so every grid point fails
-        config = small_config(small_suite, descriptor=DescriptorConfig(
-            family="lbp", p=8, r=30.0))
+        config = small_config(small_suite, preprocessors=("bf",),
+                              descriptor=DescriptorConfig(family="lbp", p=8,
+                                                          r=30.0))
         report = sweep_bf_params(config, [0.5, 1.0], [3.0], [0.05, 0.1])
         reason = ("ValueError: image 48x48 too small for R=30.0 "
                   "(need at least 63x63)")
@@ -789,8 +820,9 @@ class TestSweep:
                                           "bf[1,3,0.05]", "bf[1,3,0.1]")]
 
     def test_skipped_pairs_listed_first(self, small_suite):
-        config = small_config(small_suite, descriptor=DescriptorConfig(
-            family="lbp", p=8, r=30.0))
+        config = small_config(small_suite, preprocessors=("bf",),
+                              descriptor=DescriptorConfig(family="lbp", p=8,
+                                                          r=30.0))
         report = sweep_bf_params(config, [1.0, 5.0], [3.0, 4.0], [0.1])
         assert [label for label, _ in report.failures] == [
             "bf[5,3,*]", "bf[5,4,*]", "bf[1,3,0.1]", "bf[1,4,0.1]"]
@@ -798,8 +830,20 @@ class TestSweep:
     def test_repeated_grid_value_rejected(self, small_suite):
         with pytest.raises(ConfigError, match=re.escape(
                 "repeated preprocessors: ['bf[1,3,0.1]']")):
-            sweep_bf_params(small_config(small_suite), [1.0], [3.0],
-                            [0.1, 0.1])
+            sweep_bf_params(small_config(small_suite, preprocessors=("bf",)),
+                            [1.0], [3.0], [0.1, 0.1])
+
+    @pytest.mark.parametrize("preprocessors", [
+        ("bf", "none"), ("none",), (BfParams(1.0, 3.0, 0.1),)])
+    def test_preprocessors_other_than_bf_rejected(self, small_suite,
+                                                   monkeypatch, preprocessors):
+        # the grid would replace them without a word; no image is read
+        monkeypatch.setattr(harness, "_read_pixels",
+                            lambda path: pytest.fail("suite read"))
+        with pytest.raises(ConfigError, match="grid sets 'preprocessor'"):
+            sweep_bf_params(small_config(small_suite,
+                                         preprocessors=preprocessors),
+                            [1.0], [3.0], [0.1])
 
     def test_noise_drawn_once_per_repeat_for_the_whole_grid(self, small_suite,
                                                              monkeypatch):
@@ -808,7 +852,9 @@ class TestSweep:
                             lambda img, snr, rng: draws.append(snr)
                             or real(img, snr, rng))
         noise = NoiseSpec(snr_levels=(10.0, 3.0), repeats=2, seed=6)
-        report = sweep_bf_params(small_config(small_suite, noise=noise),
+        report = sweep_bf_params(small_config(small_suite,
+                                              preprocessors=("bf",),
+                                              noise=noise),
                                  [0.5, 1.0], [3.0], [0.05, 0.1])
         assert len(report.rows) == 4 * 3
         # 12 test images a split (3 of 6 per class held out, 4 classes)
@@ -958,6 +1004,28 @@ class TestFilePrecision:
         finally:
             tracemalloc.stop()
         assert 1.5 * peak < 120 * 64 * 64 * 8
+
+    @pytest.mark.parametrize("preprocessor", ["none", "bf"])
+    def test_noisy_run_holds_less_than_a_float64_suite(self, tmp_path,
+                                                       preprocessor):
+        # with corrupt_train every image is drawn again each repeat, yet
+        # only one block of noisy images is float64 at a time
+        manifest = generate_suite(tmp_path / "suite", n_classes=4,
+                                  per_class=30, size=64, seed=0)
+        config = ExperimentConfig(
+            manifest_path=str(manifest), preprocessors=(preprocessor,),
+            descriptor=DescriptorConfig(family="lbp", p=8, r=1.0),
+            split=SplitPolicy(mode="random", n_train=10, repeats=1, seed=0),
+            noise=NoiseSpec(snr_levels=(5.0,), repeats=2, seed=0),
+            corrupt_train=True)
+        run_experiment(config)  # first-call tables and scratch
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * 64 * 64 * 8
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
