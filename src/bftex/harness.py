@@ -14,13 +14,15 @@ import itertools
 import math
 import os
 import re
+import signal
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import baselines, descriptors
+from . import baselines, classify, descriptors
 from .classify import ReferenceSet, _chi2_triangle, chi2_matrix, evaluate
 from .image import NonFiniteImageError, _read_pixels, check_finite
 # perfbench/tracer.py wraps harness.load_image by name, so it stays importable
@@ -246,6 +248,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be in (0, inf), got {value}")
+        if self.corrupt_train and self.noise is None:
+            raise ConfigError("corrupt_train needs a noise spec: without "
+                              "noise rows no image is corrupted")
 
 
 def _label(entry):
@@ -405,6 +410,77 @@ def _run_splits(feats, labels, splits):
             for train, test in splits]
 
 
+# Corrupted pixels x live preprocessor entries, summed over a noise
+# protocol's (level, repeat) jobs, from which run_experiment runs the jobs
+# on forked worker processes.  On 2 shared CPUs a two-worker fork pool
+# took 11 ms to start and stop, and busy CPUs slowed each worker's jobs.
+# Over 16 alternating runs each on one 64^2 suite (LBP P=8), protocols of
+# 1.25 million pixel-entries ran 15-33 ms slower on the pool, and ones of
+# 1.9 million or more 40-87 ms faster.
+_POOL_PIXELS = 1 << 21
+# The noise job, set only in the pool's worker processes (_start_worker).
+_forked_job = None
+
+
+def _start_worker(job):
+    """Pool initializer, run in each worker: keep the job inherited at
+    fork.  An interrupt is left to the parent, which then stops the pool."""
+    global _forked_job
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _forked_job = job
+
+
+def _run_forked(*args):
+    """The inherited job's result, and the warnings it recorded."""
+    with warnings.catch_warnings(record=True) as found:
+        result = _forked_job(*args)
+    return result, [(w.message, w.category, w.filename, w.lineno)
+                    for w in found]
+
+
+def _rewarn(result, found):
+    """Issue a worker's warnings here, under this process's filters."""
+    for warning in found:
+        warnings.warn_explicit(
+            *warning, registry=globals().setdefault("__warningregistry__", {}))
+    return result
+
+
+@contextmanager
+def _job_results(job, jobs, work):
+    """An iterator over job(*args) for each args in ``jobs``, in order.
+
+    The jobs run on one forked worker process per CPU when there is more
+    than one CPU and job, ``work`` is at least _POOL_PIXELS, and this
+    process can fork children.  The workers inherit whatever ``job``
+    reads, so only its arguments go out, and only its result and the
+    warnings it recorded come back; spawned workers would instead import
+    bftex afresh and be sent the suite.  bftex runs no other thread at the
+    fork: the chi2 kernel joins its threads before it returns, and the
+    pool starts every worker before its own manager thread.  When the caller raises or is interrupted, the pending jobs
+    are cancelled and every worker is joined before the error goes on; a
+    worker's error keeps its traceback.  Otherwise each job runs inline
+    when its result is taken, after the caller has read the results
+    before it.
+    """
+    workers = min(classify._cpu_count(), len(jobs))
+    if workers > 1 and work >= _POOL_PIXELS:
+        import multiprocessing
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_worker, initargs=(job,))
+            try:
+                futures = [pool.submit(_run_forked, *args) for args in jobs]
+                yield (_rewarn(*future.result()) for future in futures)
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+            return
+    yield (job(*args) for args in jobs)
+
+
 def run_experiment(config, manifest=None, images=None):
     """Execute the configured experiment and return its report.
 
@@ -414,14 +490,17 @@ def run_experiment(config, manifest=None, images=None):
     Clean accuracy is always reported; when a noise spec is present, one
     row per SNR level follows.  Noise is applied to test images only
     unless corrupt_train is set, and only the corrupted images are
-    extracted again.  Clean rows run one preprocessor at a time; each noise
-    repeat is one pass over its corrupted images a block at a time, with
-    the noise drawn into the block and shared by every preprocessor still
-    running (see _extract_features).  A preprocessor that fails on bad
-    input (OSError or ValueError) while its images are drawn, preprocessed
-    or described keeps the rows it finished and is recorded as a failure under
-    its label, and the others still run; any other error propagates.  Clean
-    rows carry timings only when config.include_timing is set.
+    extracted again.  Clean rows run one preprocessor at a time.  Each
+    noise (level, repeat) pair is one job: one pass over its corrupted
+    images a block at a time, with the noise drawn into the block and
+    shared by every preprocessor (see _extract_features).  Large noise
+    protocols run their jobs on every CPU (see _job_results); the report
+    is the same either way.  A preprocessor that fails on bad input
+    (OSError or ValueError) while its images are drawn, preprocessed or
+    described keeps the rows of the levels before its first failure and
+    is recorded as a failure under its label, and the others still run;
+    any other error propagates.  Clean rows carry timings only when
+    config.include_timing is set.
     """
     if manifest is None:
         manifest = load_manifest(config.manifest_path, suite=config.suite)
@@ -443,7 +522,7 @@ def run_experiment(config, manifest=None, images=None):
             mean_accuracy=float(np.mean(accs)), std_accuracy=std,
             feature_size=fsize, extract_ms=extract_ms, match_ms=match_ms)
 
-    # by preprocessor entry; the noise loops run level, repeat, block so that
+    # by preprocessor entry; the noise jobs run level, repeat, block so that
     # each repeat's noise is drawn once, yet rows list preprocessor first
     names = config.preprocessors
     feats, rows, failed = {}, {name: [] for name in names}, {}
@@ -464,24 +543,50 @@ def run_experiment(config, manifest=None, images=None):
         if config.noise:  # kept for the noise rows only
             feats[name] = hists
         del hists
-    for li, snr in enumerate(config.noise.snr_levels if config.noise else ()):
-        accs = {name: [] for name in feats}
-        for rep in range(config.noise.repeats):
-            train, test = splits[rep % len(splits)]
-            # noise goes on the test images first, in index order; untouched
-            # images keep their clean features
-            corrupted = test + (train if config.corrupt_train else [])
-            redone = _extract_features(pixels, maxvals, paths, corrupted,
-                                       tuple(feats), config, failed,
-                                       (snr, _rng(config.noise.seed, li, rep)))
-            for name, hists in redone.items():
-                nfeats = feats[name].copy()
-                nfeats[corrupted] = hists
-                accs[name].extend(_run_splits(nfeats, labels, [(train, test)]))
-        feats = {name: f for name, f in feats.items() if name not in failed}
+    levels = config.noise.snr_levels if config.noise else ()
+    jobs = [(li, rep) for li in range(len(levels))
+            for rep in range(config.noise.repeats)]
+
+    def corrupted(rep):
+        # a repeat's split, and its images that take noise: the test images
+        # first, in index order; untouched images keep their clean features
+        train, test = splits[rep % len(splits)]
+        return (train, test), test + (train if config.corrupt_train else [])
+
+    def job(li, rep):
+        """Accuracy by entry at one (level, repeat), and the entries that
+        failed in it with their messages.  Entries known to have failed
+        when the job starts are not run."""
+        split, ids = corrupted(rep)
+        job_failed = dict(failed)
+        redone = _extract_features(pixels, maxvals, paths, ids, tuple(feats),
+                                   config, job_failed,
+                                   (levels[li], _rng(config.noise.seed, li,
+                                                     rep)))
+        accs = {}
+        for name, hists in redone.items():
+            nfeats = feats[name].copy()
+            nfeats[ids] = hists
+            accs[name], = _run_splits(nfeats, labels, [split])
+        return accs, {name: msg for name, msg in job_failed.items()
+                      if name not in failed}
+
+    work = len(feats) * sum(np.size(pixels[j]) for _, rep in jobs
+                            for j in corrupted(rep)[1])
+    accs = [{name: [] for name in feats} for _ in levels]
+    failed_at = {}  # entry -> level of its first noise failure
+    with _job_results(job, jobs, work) as results:
+        for (li, _), (job_accs, job_failed) in zip(jobs, results):
+            for name, msg in job_failed.items():
+                if name not in failed:  # the first failure wins
+                    failed[name], failed_at[name] = msg, li
+            for name, acc in job_accs.items():
+                accs[li][name].append(acc)
+    for li, snr in enumerate(levels):
         for name in feats:
-            rows[name].append(row(name, f"{snr:g}", accs[name],
-                                  feats[name].shape[1]))
+            if failed_at.get(name, len(levels)) > li:
+                rows[name].append(row(name, f"{snr:g}", accs[li][name],
+                                      feats[name].shape[1]))
     return ExperimentReport(rows=[r for name in names for r in rows[name]],
                             failures=[(_label(name), failed[name])
                                       for name in names if name in failed])
@@ -633,6 +738,9 @@ def build_experiment_config(values, base_dir="."):
     top["manifest_path"] = os.path.join(base_dir, top["manifest_path"])
     if "noise" in parts and "snr_levels" not in values:
         raise ConfigError("noise_repeats and noise_seed need snr_levels")
+    if "corrupt_train" in values and "snr_levels" not in values:
+        raise ConfigError("corrupt_train needs snr_levels: without noise "
+                          "rows no image is corrupted")
     try:
         config = ExperimentConfig(**top, **{part: _PART_TYPES[part](**kw)
                                             for part, kw in parts.items()})

@@ -259,6 +259,7 @@ class TestExperimentCommand:
         ("preprocessor = bf,none,bf", "repeated preprocessors: ['bf']"),
         ("noise_repeats = 2", "noise_repeats and noise_seed need snr_levels"),
         ("noise_seed = 4", "noise_repeats and noise_seed need snr_levels"),
+        ("corrupt_train = yes", "corrupt_train needs snr_levels"),
         ("mode = predefined\nrepeats = 2",
          "a predefined split is one split, got repeats=2"),
         ("mode = predefined",

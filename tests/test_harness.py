@@ -1,9 +1,13 @@
+import concurrent.futures
 import csv
 import hashlib
 import io
 import math
+import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -14,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bftex import baselines, descriptors, harness
+from bftex import baselines, classify, descriptors, harness
 from bftex.classify import ReferenceSet, chi2, chi2_matrix, evaluate
 from bftex.descriptors import (DescriptorConfig, NeighborhoodSpec,
                                feature_size, ltp_histogram)
@@ -754,6 +758,178 @@ class TestNoiseSharedByPreprocessors:
                                    ("none", "ValueError: no noise today")]
 
 
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the noise job pool forks its workers")
+
+
+@needs_fork
+class TestNoiseJobPool:
+    """The noise jobs give the same report on forked workers as inline.
+
+    Counters kept in a worker never reach this process, so failures are
+    set off by the data each job draws, and the pool is seen through the
+    executors made."""
+
+    NOISE = NoiseSpec(snr_levels=(10.0, 3.0), repeats=2, seed=6)
+
+    @staticmethod
+    def force_pool(patch):
+        """Send every protocol of two or more jobs to a two-worker pool;
+        returns the list of pools made."""
+        pools, real = [], concurrent.futures.ProcessPoolExecutor
+
+        class Recorded(real):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        patch.setattr(harness, "_POOL_PIXELS", 0)
+        patch.setattr(classify, "_cpu_count", lambda: 2)
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        return pools
+
+    def inline_and_pooled(self, monkeypatch, config, **kw):
+        """(report inline, report on the pool) of one run."""
+        inline = run_experiment(config, **kw)
+        with monkeypatch.context() as patch:
+            pools = self.force_pool(patch)
+            pooled = run_experiment(config, **kw)
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+        return inline, pooled
+
+    @staticmethod
+    def images_and_splits(small_suite):
+        manifest = load_manifest(small_suite)
+        images = [load_image(p) for p, _ in manifest.samples]
+        return manifest, images, make_splits(
+            manifest, small_config(small_suite).split)
+
+    @pytest.mark.parametrize("corrupt_train", [False, True])
+    def test_report_equals_inline(self, small_suite, monkeypatch,
+                                  corrupt_train):
+        config = small_config(
+            small_suite, noise=self.NOISE, corrupt_train=corrupt_train,
+            preprocessors=("bf", "none", "dog", BfParams(0.5, 3.0, 0.05)))
+        inline, pooled = self.inline_and_pooled(monkeypatch, config)
+        assert pooled.to_csv() == inline.to_csv()
+        assert pooled.failures == inline.failures == []
+        assert len(inline.rows) == 4 * 3
+
+    def test_entry_failing_in_a_later_repeat(self, small_suite, monkeypatch):
+        manifest, images, splits = self.images_and_splits(small_suite)
+        # an image noised in the second repeat only, lifted out of the
+        # range of the others so that its noisy copies can be told apart
+        k = min(set(splits[1][1]) - set(splits[0][1]))
+        images[k] = images[k] * 0.01 + 5.0
+        clean = {img.tobytes() for img in images}
+        real = harness.apply_preprocessor
+
+        def refusing(img, name, config):
+            if name == "dog" and any(im.mean() > 4.0
+                                     and im.tobytes() not in clean
+                                     for im in img):
+                raise ValueError("noisy copy refused")
+            return real(img, name, config)
+
+        monkeypatch.setattr(harness, "apply_preprocessor", refusing)
+        config = small_config(small_suite, noise=self.NOISE,
+                              preprocessors=("dog", "bf"))
+        inline, pooled = self.inline_and_pooled(
+            monkeypatch, config, manifest=manifest, images=images)
+        assert pooled.to_csv() == inline.to_csv()
+        assert pooled.failures == inline.failures == [
+            ("dog", "ValueError: noisy copy refused")]
+        assert [(r.preprocessor, r.snr) for r in inline.rows] == [
+            ("dog", "clean"), ("bf", "clean"), ("bf", "10"), ("bf", "3")]
+
+    def test_failed_draw(self, small_suite, monkeypatch):
+        manifest, images, splits = self.images_and_splits(small_suite)
+        # finite pixels whose variance overflows: no noise can be drawn
+        k = min(set(splits[1][1]) - set(splits[0][1]))
+        images[k] = images[k] * 1e200
+        config = small_config(small_suite, noise=self.NOISE)
+        inline, pooled = self.inline_and_pooled(
+            monkeypatch, config, manifest=manifest, images=images)
+        assert pooled.to_csv() == inline.to_csv()
+        message = ("ValueError: image variance overflows float64: no noise "
+                   "level can be set")
+        assert pooled.failures == inline.failures == [("bf", message),
+                                                      ("none", message)]
+        assert [r.snr for r in inline.rows] == ["clean", "clean"]
+
+    def test_constant_image_warned_once_per_draw(self, small_suite,
+                                                 monkeypatch):
+        manifest, images, splits = self.images_and_splits(small_suite)
+        k = splits[0][1][0]
+        images[k] = np.full_like(images[k], 0.5)
+        config = small_config(small_suite, noise=self.NOISE)
+        draws = sum(k in splits[rep % len(splits)][1]
+                    for rep in range(self.NOISE.repeats)) * 2  # 2 levels
+        with warnings.catch_warnings(record=True) as found:
+            warnings.simplefilter("always")
+            inline, pooled = self.inline_and_pooled(
+                monkeypatch, config, manifest=manifest, images=images)
+        assert pooled.to_csv() == inline.to_csv()
+        messages = [str(w.message) for w in found]
+        assert messages == ["constant image: no noise added (zero signal "
+                            "std)"] * (2 * draws)
+
+    def test_programming_error_keeps_worker_traceback(self, small_suite,
+                                                      monkeypatch):
+        manifest, images, _ = self.images_and_splits(small_suite)
+        clean = {img.tobytes() for img in images}
+        real = harness.apply_preprocessor
+
+        def broken_on_noise(img, name, config):
+            if any(im.tobytes() not in clean for im in img):
+                raise TypeError("broken on noisy input")
+            return real(img, name, config)
+
+        monkeypatch.setattr(harness, "apply_preprocessor", broken_on_noise)
+        pools = self.force_pool(monkeypatch)
+        with pytest.raises(TypeError, match="broken on noisy input") as info:
+            run_experiment(small_config(small_suite, noise=self.NOISE),
+                           manifest=manifest, images=images)
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+        # the worker's own frames, down to the function that raised
+        assert "in broken_on_noise" in str(info.value.__cause__)
+
+    @pytest.mark.parametrize("cpus,repeats", [(1, 2), (2, 1)])
+    def test_one_cpu_or_one_job_runs_inline(self, small_suite, monkeypatch,
+                                            cpus, repeats):
+        pools = self.force_pool(monkeypatch)
+        monkeypatch.setattr(classify, "_cpu_count", lambda: cpus)
+        run_experiment(small_config(
+            small_suite, noise=NoiseSpec(snr_levels=(5.0,), repeats=repeats)))
+        assert pools == []
+
+    def test_small_protocol_runs_inline(self, small_suite, monkeypatch):
+        # 12 test images of 48^2 x 2 entries x 4 jobs: under the threshold
+        pools = self.force_pool(monkeypatch)
+        monkeypatch.setattr(harness, "_POOL_PIXELS", 12 * 48 * 48 * 2 * 4 + 1)
+        report = run_experiment(small_config(small_suite, noise=self.NOISE))
+        assert pools == [] and len(report.rows) == 2 * 3
+        monkeypatch.setattr(harness, "_POOL_PIXELS", 12 * 48 * 48 * 2 * 4)
+        assert run_experiment(small_config(
+            small_suite, noise=self.NOISE)).to_csv() == report.to_csv()
+        assert len(pools) == 1
+
+
+def test_clean_run_does_not_import_multiprocessing(small_suite):
+    code = ("import sys\n"
+            "from bftex import harness\n"
+            f"harness.run_experiment(harness.ExperimentConfig(\n"
+            f"    {str(small_suite)!r}, split=harness.SplitPolicy(n_train=3)))\n"
+            "assert 'multiprocessing' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(harness.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 class TestSweep:
     def test_invalid_pairs_skipped(self, small_suite):
         report = sweep_bf_params(small_config(small_suite,
@@ -1112,7 +1288,6 @@ class TestConfigFiles:
         "repeats": ("3", "split", "repeats", 3),
         "seed": ("1", "split", "seed", 1),
         "snr_levels": ("7, 2.5", None, "noise", NoiseSpec(snr_levels=(7.0, 2.5))),
-        "corrupt_train": ("yes", None, "corrupt_train", True),
         "timing": ("on", None, "include_timing", True),
     }
 
@@ -1135,8 +1310,12 @@ class TestConfigFiles:
             build(noise_repeats="two")
         assert build(snr_levels="7", noise_repeats="2", noise_seed="5").noise \
             == NoiseSpec(snr_levels=(7.0,), repeats=2, seed=5)
+        # corrupt_train, too, needs snr_levels
+        assert build(snr_levels="7", corrupt_train="yes") == replace(
+            base, noise=NoiseSpec(snr_levels=(7.0,)), corrupt_train=True)
         assert set(self.ONE_KEY) | {"manifest", "scheme", "noise_repeats",
-                                    "noise_seed"} == set(harness.EXPERIMENT_KEYS)
+                                    "noise_seed", "corrupt_train"} \
+            == set(harness.EXPERIMENT_KEYS)
 
     @pytest.mark.parametrize("keys", [("noise_repeats",), ("noise_seed",),
                                       ("noise_repeats", "noise_seed")])
@@ -1146,6 +1325,21 @@ class TestConfigFiles:
                                               "need snr_levels"):
             build_experiment_config({"manifest": "m.txt",
                                      **{key: "2" for key in keys}})
+
+    @pytest.mark.parametrize("value", ["yes", "no"])
+    def test_corrupt_train_needs_snr_levels(self, value):
+        # without levels no image would be corrupted, whatever the value
+        with pytest.raises(ConfigError, match="corrupt_train needs "
+                                              "snr_levels"):
+            build_experiment_config({"manifest": "m.txt",
+                                     "corrupt_train": value})
+
+    def test_corrupt_train_needs_a_noise_spec(self):
+        with pytest.raises(ConfigError, match="corrupt_train needs a noise "
+                                              "spec"):
+            ExperimentConfig(manifest_path="m.txt", corrupt_train=True)
+        assert ExperimentConfig(manifest_path="m.txt", corrupt_train=True,
+                                noise=NoiseSpec()).corrupt_train
 
     @pytest.mark.parametrize("key,value", [("n_train", "4"), ("seed", "0")])
     def test_random_split_keys_rejected_with_predefined(self, key, value):
