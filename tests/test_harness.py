@@ -906,6 +906,20 @@ class TestNoiseJobPool:
             small_suite, noise=NoiseSpec(snr_levels=(5.0,), repeats=repeats)))
         assert pools == []
 
+    def test_daemonic_process_runs_inline(self, small_suite, monkeypatch):
+        # a daemonic process may not have children, so it makes no pool
+        pools = self.force_pool(monkeypatch)
+        config = small_config(small_suite, noise=self.NOISE)
+        context = multiprocessing.get_context("fork")
+        results = context.SimpleQueue()
+        child = context.Process(daemon=True, target=lambda: results.put(
+            (run_experiment(config).to_csv(), len(pools))))
+        child.start()
+        child.join(timeout=120)
+        assert child.exitcode == 0
+        assert results.get() == (run_experiment(config).to_csv(), 0)
+        assert len(pools) == 1  # the call in this process
+
     def test_small_protocol_runs_inline(self, small_suite, monkeypatch):
         # 12 test images of 48^2 x 2 entries x 4 jobs: under the threshold
         pools = self.force_pool(monkeypatch)
