@@ -67,6 +67,10 @@ _BLOCK_CELLS = 1 << 15
 # and larger calls ran faster on it, with one query or many (one query
 # against 4320 references of 648 bins: 12.0 ms inline, 8.5 ms pooled).
 _POOL_CELLS = 1 << 20
+# Set in each worker of a process pool (harness._start_worker), whose
+# siblings already run on the other CPUs: its chi2 kernel runs inline, so
+# threads grow with the CPUs, not with their square.
+_pool_worker = False
 
 
 def chi2_matrix(queries, refs):
@@ -120,8 +124,8 @@ def _chi2_blocks(queries, hists, symmetric=False):
     mirror, cells no other block touches, so the result is bit-identical
     to a serial loop.  When a worker raises, or the caller is interrupted,
     the other workers take no further block.  A call with one block, or
-    with fewer than _POOL_CELLS cells in its whole matrix, runs inline,
-    with no pool.
+    with fewer than _POOL_CELLS cells in its whole matrix, or in a process
+    pool's worker, runs inline, with no pool.
     """
     n, d = hists.shape
     block = min(n, max(1, _BLOCK_CELLS // max(d, 1)))
@@ -157,7 +161,8 @@ def _chi2_blocks(queries, hists, symmetric=False):
                 raise
 
     workers = (min(_cpu_count(), len(starts))
-               if len(queries) * n * d >= _POOL_CELLS else 1)
+               if len(queries) * n * d >= _POOL_CELLS and not _pool_worker
+               else 1)
     if workers == 1:
         work(starts)
         return dist

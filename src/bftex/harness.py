@@ -15,6 +15,7 @@ import math
 import os
 import re
 import signal
+import threading
 import time
 import warnings
 from contextlib import contextmanager
@@ -416,7 +417,12 @@ def _run_splits(feats, labels, splits):
 # took 11 ms to start and stop, and busy CPUs slowed each worker's jobs.
 # Over 16 alternating runs each on one 64^2 suite (LBP P=8), protocols of
 # 1.25 million pixel-entries ran 15-33 ms slower on the pool, and ones of
-# 1.9 million or more 40-87 ms faster.
+# 1.9 million or more 40-87 ms faster.  Checked on one level of jobs over
+# 16 test images of 64^2 (10 alternating pairs each): CLBP S/M/C P=16 on
+# bf and dog ran 31 ms slower at 0.5 and 0.8 million, and 74 and 216 ms
+# faster at 1.05 and 2.1 million; LBP P=8 on bf and none broke even at
+# 0.5, ran 28 ms slower at 0.8 and 12 and 55 ms faster at 1.05 and 2.1
+# million.  The threshold, set on LBP P=8, errs towards inline for both.
 _POOL_PIXELS = 1 << 21
 # The noise job, set only in the pool's worker processes (_start_worker).
 _forked_job = None
@@ -424,9 +430,11 @@ _forked_job = None
 
 def _start_worker(job):
     """Pool initializer, run in each worker: keep the job inherited at
-    fork.  An interrupt is left to the parent, which then stops the pool."""
+    fork, and run the chi2 kernel inline.  An interrupt is left to the
+    parent, which then stops the pool."""
     global _forked_job
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    classify._pool_worker = True
     _forked_job = job
 
 
@@ -452,19 +460,24 @@ def _job_results(job, jobs, work):
 
     The jobs run on one forked worker process per CPU when there is more
     than one CPU and job, ``work`` is at least _POOL_PIXELS, and this
-    process can fork children.  The workers inherit whatever ``job``
-    reads, so only its arguments go out, and only its result and the
-    warnings it recorded come back; spawned workers would instead import
-    bftex afresh and be sent the suite.  bftex runs no other thread at the
-    fork: the chi2 kernel joins its threads before it returns, and the
-    pool starts every worker before its own manager thread.  When the caller raises or is interrupted, the pending jobs
-    are cancelled and every worker is joined before the error goes on; a
-    worker's error keeps its traceback.  Otherwise each job runs inline
-    when its result is taken, after the caller has read the results
-    before it.
+    process can fork children and runs no other Python thread (a child
+    could inherit that thread's locks held).  The workers inherit
+    whatever ``job`` reads, so only its arguments go out, and only its
+    result and the warnings it recorded come back; spawned workers would
+    instead import bftex afresh and be sent the suite.  Once fork() has
+    begun no other thread runs either: the chi2 kernel joins its threads
+    before it returns, the OpenBLAS of the numpy and scipy wheels stops
+    its threads in a fork handler, and the pool starts every worker
+    before its manager thread.  A worker's chi2 kernel runs inline, as
+    the other workers hold the other CPUs.  When the caller raises or is
+    interrupted, the pending jobs are cancelled and every worker is
+    joined before the error goes on; a worker's error keeps its
+    traceback.  Otherwise each job runs inline when its result is taken,
+    after the caller has read the results before it.
     """
     workers = min(classify._cpu_count(), len(jobs))
-    if workers > 1 and work >= _POOL_PIXELS:
+    if (workers > 1 and work >= _POOL_PIXELS
+            and threading.active_count() == 1):
         import multiprocessing
         if ("fork" in multiprocessing.get_all_start_methods()
                 and not multiprocessing.current_process().daemon):
@@ -495,7 +508,10 @@ def run_experiment(config, manifest=None, images=None):
     images a block at a time, with the noise drawn into the block and
     shared by every preprocessor (see _extract_features).  Large noise
     protocols run their jobs on every CPU (see _job_results); the report
-    is the same either way.  A preprocessor that fails on bad input
+    is the same either way.  A job on a worker runs every preprocessor
+    that finished its clean row, though: one that failed in an earlier
+    job is still drawn for and described there, and the warnings of those
+    draws are issued too.  A preprocessor that fails on bad input
     (OSError or ValueError) while its images are drawn, preprocessed or
     described keeps the rows of the levels before its first failure and
     is recorded as a failure under its label, and the others still run;

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -849,15 +850,25 @@ class TestNoiseJobPool:
         # finite pixels whose variance overflows: no noise can be drawn
         k = min(set(splits[1][1]) - set(splits[0][1]))
         images[k] = images[k] * 1e200
+        # and a constant image, warned about at each draw, in the first
+        # repeat only
+        c = min(set(splits[0][1]) - set(splits[1][1]))
+        images[c] = np.full_like(images[c], 0.5)
         config = small_config(small_suite, noise=self.NOISE)
-        inline, pooled = self.inline_and_pooled(
-            monkeypatch, config, manifest=manifest, images=images)
+        with warnings.catch_warnings(record=True) as found:
+            warnings.simplefilter("always")
+            inline, pooled = self.inline_and_pooled(
+                monkeypatch, config, manifest=manifest, images=images)
         assert pooled.to_csv() == inline.to_csv()
         message = ("ValueError: image variance overflows float64: no noise "
                    "level can be set")
         assert pooled.failures == inline.failures == [("bf", message),
                                                       ("none", message)]
         assert [r.snr for r in inline.rows] == ["clean", "clean"]
+        # the draw fails both entries at (level 0, repeat 1); inline, no
+        # later job draws, while the workers still run (level 1, repeat 0)
+        assert [str(w.message) for w in found] == [
+            "constant image: no noise added (zero signal std)"] * (1 + 2)
 
     def test_constant_image_warned_once_per_draw(self, small_suite,
                                                  monkeypatch):
@@ -896,6 +907,64 @@ class TestNoiseJobPool:
         assert multiprocessing.active_children() == []
         # the worker's own frames, down to the function that raised
         assert "in broken_on_noise" in str(info.value.__cause__)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                        reason="threads are counted in /proc/self/stat")
+    def test_one_thread_at_each_fork(self, small_suite, monkeypatch):
+        # Python 3.12+ warns about a fork from a multi-threaded process
+        # after counting its threads here, but the warning can never be
+        # raised, not even as an error, so the count itself is checked.  A
+        # BLAS product first starts numpy's BLAS threads, where it has any.
+        def threads():
+            with open("/proc/self/stat") as f:
+                return int(f.read().rsplit(")", 1)[1].split()[17])
+
+        counts, real = [], os.fork
+
+        def fork():
+            pid = real()
+            if pid:
+                counts.append(threads())
+            return pid
+
+        np.ones((256, 256)) @ np.ones((256, 256))
+        pools = self.force_pool(monkeypatch)
+        monkeypatch.setattr(os, "fork", fork)
+        run_experiment(small_config(small_suite, noise=self.NOISE))
+        assert len(pools) == 1 and counts == [1, 1]
+
+    def test_other_python_thread_runs_inline(self, small_suite, monkeypatch):
+        # a worker could inherit that thread's locks held
+        pools = self.force_pool(monkeypatch)
+        config = small_config(small_suite, noise=self.NOISE)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            report = run_experiment(config)
+        finally:
+            release.set()
+            other.join()
+        assert pools == []
+        assert run_experiment(config).to_csv() == report.to_csv()
+        assert len(pools) == 1
+
+    def test_worker_chi2_kernel_runs_inline(self, small_suite, monkeypatch):
+        # one-row blocks and no cell threshold: every chi2 call of more
+        # than one row would start threads, which no worker may
+        parent, real = os.getpid(), classify.ThreadPoolExecutor
+
+        def parent_only(*args, **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError("chi2 threads in a pool worker")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(classify, "_BLOCK_CELLS", 1)
+        monkeypatch.setattr(classify, "_POOL_CELLS", 0)
+        monkeypatch.setattr(classify, "ThreadPoolExecutor", parent_only)
+        inline, pooled = self.inline_and_pooled(
+            monkeypatch, small_config(small_suite, noise=self.NOISE))
+        assert pooled.to_csv() == inline.to_csv()
 
     @pytest.mark.parametrize("cpus,repeats", [(1, 2), (2, 1)])
     def test_one_cpu_or_one_job_runs_inline(self, small_suite, monkeypatch,
