@@ -944,8 +944,8 @@ class TestNoiseJobPool:
             report = run_experiment(config)
         finally:
             release.set()
-            other.join()
-        assert pools == []
+            other.join(timeout=10)
+        assert not other.is_alive() and pools == []
         assert run_experiment(config).to_csv() == report.to_csv()
         assert len(pools) == 1
 
