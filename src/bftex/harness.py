@@ -18,7 +18,6 @@ import signal
 import threading
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -345,19 +344,20 @@ def _read_suite(manifest):
             np.array([maxval for _, maxval in read], dtype=np.float64))
 
 
-def _extract_features(pixels, maxvals, paths, ids, entries, config, failed,
+def _extract_features(pixels, maxvals, paths, ids, entries, config,
                       noise=None):
-    """Histograms of the images ``pixels[j] / maxvals[j]`` for j in
-    ``ids``, by preprocessor entry, for each entry that did not fail.
+    """(features, failures): the histograms of the images
+    ``pixels[j] / maxvals[j]`` for j in ``ids`` by each entry that did not
+    fail, and the message of each entry that did.
 
     Each block (see _blocks) is made float64 once and read by every entry
     still running; with ``noise`` as (snr, rng), add_gaussian_noise is
     first applied to each of its images in ``ids`` order.  An entry that
-    fails on bad input (OSError or ValueError) is recorded in ``failed``
-    and reads no further block, and a failed draw fails every entry still
-    running.  An image with a NaN or infinite pixel is named by its path.
+    fails on bad input (OSError or ValueError) reads no further block, and
+    a failed draw fails every entry still running.  An image with a NaN or
+    infinite pixel is named by its path.
     """
-    feats = {}
+    feats, failed = {}, {}
     for lo, hi in _blocks([pixels[j] for j in ids], config.descriptor.spec):
         live = [entry for entry in entries if entry not in failed]
         if not live:
@@ -387,7 +387,8 @@ def _extract_features(pixels, maxvals, paths, ids, entries, config, failed,
             if entry not in feats:
                 feats[entry] = np.empty((len(ids), hists.shape[1]))
             feats[entry][lo:hi] = hists
-    return {entry: f for entry, f in feats.items() if entry not in failed}
+    return ({entry: f for entry, f in feats.items() if entry not in failed},
+            failed)
 
 
 def _run_splits(feats, labels, splits):
@@ -454,9 +455,8 @@ def _rewarn(result, found):
     return result
 
 
-@contextmanager
 def _job_results(job, jobs, work):
-    """An iterator over job(*args) for each args in ``jobs``, in order.
+    """The list of job(*args) for each args in ``jobs``, in order.
 
     The jobs run on one forked worker process per CPU when there is more
     than one CPU and job, ``work`` is at least _POOL_PIXELS, and this
@@ -469,11 +469,10 @@ def _job_results(job, jobs, work):
     before it returns, the OpenBLAS of the numpy and scipy wheels stops
     its threads in a fork handler, and the pool starts every worker
     before its manager thread.  A worker's chi2 kernel runs inline, as
-    the other workers hold the other CPUs.  When the caller raises or is
-    interrupted, the pending jobs are cancelled and every worker is
-    joined before the error goes on; a worker's error keeps its
-    traceback.  Otherwise each job runs inline when its result is taken,
-    after the caller has read the results before it.
+    the other workers hold the other CPUs.  On an error or an interrupt,
+    the pending jobs are cancelled and every worker is joined before the
+    error goes on; a worker's error keeps its traceback.  Otherwise the
+    jobs run inline, one after another.
     """
     workers = min(classify._cpu_count(), len(jobs))
     if (workers > 1 and work >= _POOL_PIXELS
@@ -487,11 +486,10 @@ def _job_results(job, jobs, work):
                 initializer=_start_worker, initargs=(job,))
             try:
                 futures = [pool.submit(_run_forked, *args) for args in jobs]
-                yield (_rewarn(*future.result()) for future in futures)
+                return [_rewarn(*future.result()) for future in futures]
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
-            return
-    yield (job(*args) for args in jobs)
+    return [job(*args) for args in jobs]
 
 
 def run_experiment(config, manifest=None, images=None):
@@ -507,11 +505,10 @@ def run_experiment(config, manifest=None, images=None):
     noise (level, repeat) pair is one job: one pass over its corrupted
     images a block at a time, with the noise drawn into the block and
     shared by every preprocessor (see _extract_features).  Large noise
-    protocols run their jobs on every CPU (see _job_results); the report
-    is the same either way.  A job on a worker runs every preprocessor
-    that finished its clean row, though: one that failed in an earlier
-    job is still drawn for and described there, and the warnings of those
-    draws are issued too.  A preprocessor that fails on bad input
+    protocols run their jobs on every CPU (see _job_results).  A job reads
+    no other job's result, so the report and warnings are the same either
+    way: every job runs every preprocessor that finished its clean row.
+    A preprocessor that fails on bad input
     (OSError or ValueError) while its images are drawn, preprocessed or
     described keeps the rows of the levels before its first failure and
     is recorded as a failure under its label, and the others still run;
@@ -544,8 +541,10 @@ def run_experiment(config, manifest=None, images=None):
     feats, rows, failed = {}, {name: [] for name in names}, {}
     for name in names:
         t0 = time.perf_counter()
-        hists = _extract_features(pixels, maxvals, paths, range(len(pixels)),
-                                  (name,), config, failed).get(name)
+        clean, clean_failed = _extract_features(
+            pixels, maxvals, paths, range(len(pixels)), (name,), config)
+        failed.update(clean_failed)
+        hists = clean.pop(name, None)
         if hists is None:  # failed; the other preprocessors still run
             continue
         t1 = time.perf_counter()
@@ -571,33 +570,33 @@ def run_experiment(config, manifest=None, images=None):
 
     def job(li, rep):
         """Accuracy by entry at one (level, repeat), and the entries that
-        failed in it with their messages.  Entries known to have failed
-        when the job starts are not run."""
-        split, ids = corrupted(rep)
-        job_failed = dict(failed)
-        redone = _extract_features(pixels, maxvals, paths, ids, tuple(feats),
-                                   config, job_failed,
-                                   (levels[li], _rng(config.noise.seed, li,
-                                                     rep)))
+        failed in it with their messages.  Every entry with a clean row
+        runs; the query rows are the noisy test images, the reference rows
+        the noisy or clean training images."""
+        (train, test), ids = corrupted(rep)
+        noisy, job_failed = _extract_features(
+            pixels, maxvals, paths, ids, tuple(feats), config,
+            (levels[li], _rng(config.noise.seed, li, rep)))
         accs = {}
-        for name, hists in redone.items():
-            nfeats = feats[name].copy()
-            nfeats[ids] = hists
-            accs[name], = _run_splits(nfeats, labels, [split])
-        return accs, {name: msg for name, msg in job_failed.items()
-                      if name not in failed}
+        for name, hists in noisy.items():
+            refs = hists[len(test):] if config.corrupt_train else \
+                feats[name][train]
+            dist = chi2_matrix(hists[:len(test)],
+                               ReferenceSet(refs, labels[train]))
+            accs[name] = evaluate(dist, labels[test], labels[train])[0]
+        return accs, job_failed
 
     work = len(feats) * sum(np.size(pixels[j]) for _, rep in jobs
                             for j in corrupted(rep)[1])
     accs = [{name: [] for name in feats} for _ in levels]
     failed_at = {}  # entry -> level of its first noise failure
-    with _job_results(job, jobs, work) as results:
-        for (li, _), (job_accs, job_failed) in zip(jobs, results):
-            for name, msg in job_failed.items():
-                if name not in failed:  # the first failure wins
-                    failed[name], failed_at[name] = msg, li
-            for name, acc in job_accs.items():
-                accs[li][name].append(acc)
+    for (li, _), (job_accs, job_failed) in zip(
+            jobs, _job_results(job, jobs, work)):
+        for name, msg in job_failed.items():
+            if name not in failed:  # the first failure wins
+                failed[name], failed_at[name] = msg, li
+        for name, acc in job_accs.items():
+            accs[li][name].append(acc)
     for li, snr in enumerate(levels):
         for name in feats:
             if failed_at.get(name, len(levels)) > li:

@@ -130,13 +130,6 @@ def _read_pixels(path):
     return arr, maxval
 
 
-def load_pgm(path):
-    """Read a binary (P5) PGM file into a float image scaled to [0, 1]."""
-    with open(path, "rb") as f:
-        buf = f.read()
-    return np.divide(*_pgm_pixels(buf), dtype=np.float64)
-
-
 def load_image(path):
     """Load a grayscale image (PGM mandatory, PNG via Pillow) scaled to [0, 1].
 

@@ -605,10 +605,12 @@ class TestBlockExtraction:
         assert blocks[:3] == [(0, 3), (3, 6), (6, 7)]
         assert blocks[-1] == (9, 10) and blocks[-2][0] == 7
         for subset in (images, images[4:5]):
-            feats = harness._extract_features(
+            feats, failed = harness._extract_features(
                 subset, np.ones(len(subset)),
                 [f"img{i}" for i in range(len(subset))],
-                range(len(subset)), (preprocessor,), config, {})[preprocessor]
+                range(len(subset)), (preprocessor,), config)
+            assert failed == {}
+            feats = feats[preprocessor]
             want = np.stack([
                 descriptors.extract(apply_preprocessor(img, preprocessor,
                                                        config),
@@ -818,7 +820,9 @@ class TestNoiseJobPool:
         assert pooled.failures == inline.failures == []
         assert len(inline.rows) == 4 * 3
 
-    def test_entry_failing_in_a_later_repeat(self, small_suite, monkeypatch):
+    def failing_in_a_later_repeat(self, small_suite, monkeypatch):
+        """(manifest, images, config) of a run whose dog entry fails in
+        the second repeat of each level, and only there."""
         manifest, images, splits = self.images_and_splits(small_suite)
         # an image noised in the second repeat only, lifted out of the
         # range of the others so that its noisy copies can be told apart
@@ -835,8 +839,12 @@ class TestNoiseJobPool:
             return real(img, name, config)
 
         monkeypatch.setattr(harness, "apply_preprocessor", refusing)
-        config = small_config(small_suite, noise=self.NOISE,
-                              preprocessors=("dog", "bf"))
+        return manifest, images, small_config(
+            small_suite, noise=self.NOISE, preprocessors=("dog", "bf"))
+
+    def test_entry_failing_in_a_later_repeat(self, small_suite, monkeypatch):
+        manifest, images, config = self.failing_in_a_later_repeat(
+            small_suite, monkeypatch)
         inline, pooled = self.inline_and_pooled(
             monkeypatch, config, manifest=manifest, images=images)
         assert pooled.to_csv() == inline.to_csv()
@@ -844,6 +852,31 @@ class TestNoiseJobPool:
             ("dog", "ValueError: noisy copy refused")]
         assert [(r.preprocessor, r.snr) for r in inline.rows] == [
             ("dog", "clean"), ("bf", "clean"), ("bf", "10"), ("bf", "3")]
+
+    def test_jobs_independent_of_order(self, small_suite, monkeypatch):
+        # no job reads what another job's result changes, so running them
+        # last to first gives each the same result and the same report
+        manifest, images, config = self.failing_in_a_later_repeat(
+            small_suite, monkeypatch)
+        real, results = harness._job_results, []
+
+        def recorded(step):
+            def job_results(job, jobs, work):
+                results.append(real(job, jobs[::step], work)[::step])
+                return results[-1]
+            return job_results
+
+        monkeypatch.setattr(harness, "_job_results", recorded(1))
+        forward = run_experiment(config, manifest=manifest, images=images)
+        monkeypatch.setattr(harness, "_job_results", recorded(-1))
+        backward = run_experiment(config, manifest=manifest, images=images)
+        assert backward.to_csv() == forward.to_csv()
+        assert backward.failures == forward.failures == [
+            ("dog", "ValueError: noisy copy refused")]
+        assert results[0] == results[1]
+        # the dog entry runs after its first failure, at level 1 repeat 0
+        assert [sorted(accs) for accs, _ in results[0]] == \
+            [["bf", "dog"], ["bf"], ["bf", "dog"], ["bf"]]
 
     def test_failed_draw(self, small_suite, monkeypatch):
         manifest, images, splits = self.images_and_splits(small_suite)
@@ -855,20 +888,29 @@ class TestNoiseJobPool:
         c = min(set(splits[0][1]) - set(splits[1][1]))
         images[c] = np.full_like(images[c], 0.5)
         config = small_config(small_suite, noise=self.NOISE)
-        with warnings.catch_warnings(record=True) as found:
-            warnings.simplefilter("always")
-            inline, pooled = self.inline_and_pooled(
-                monkeypatch, config, manifest=manifest, images=images)
+
+        def run():
+            with warnings.catch_warnings(record=True) as found:
+                warnings.simplefilter("always")
+                report = run_experiment(config, manifest=manifest,
+                                        images=images)
+            return report, [str(w.message) for w in found]
+
+        inline, inline_warned = run()
+        with monkeypatch.context() as patch:
+            pools = self.force_pool(patch)
+            pooled, pooled_warned = run()
+        assert len(pools) == 1
         assert pooled.to_csv() == inline.to_csv()
         message = ("ValueError: image variance overflows float64: no noise "
                    "level can be set")
         assert pooled.failures == inline.failures == [("bf", message),
                                                       ("none", message)]
         assert [r.snr for r in inline.rows] == ["clean", "clean"]
-        # the draw fails both entries at (level 0, repeat 1); inline, no
-        # later job draws, while the workers still run (level 1, repeat 0)
-        assert [str(w.message) for w in found] == [
-            "constant image: no noise added (zero signal std)"] * (1 + 2)
+        # the draw fails both entries at (level 0, repeat 1), yet every
+        # job draws on both paths: the constant image once a level
+        assert pooled_warned == inline_warned == [
+            "constant image: no noise added (zero signal std)"] * 2
 
     def test_constant_image_warned_once_per_draw(self, small_suite,
                                                  monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bftex.image import (LUMA_WEIGHTS, ImageFormatError, NonFiniteImageError,
                          _read_pixels, check_finite, convolve_separable,
                          gaussian_derivative_kernel_1d, gaussian_kernel_1d,
-                         load_image, load_pgm, save_csv_matrix, save_pgm)
+                         load_image, save_csv_matrix, save_pgm)
 
 from oracles import derivative_kernel, load_csv_matrix
 
@@ -37,20 +37,20 @@ class TestPgmIO:
     def test_header_comments(self, tmp_path):
         p = tmp_path / "c.pgm"
         write_pgm_bytes(p, b"P5\n# a comment\n2 1\n255\n", bytes([10, 20]))
-        img = load_pgm(p)
+        img = load_image(p)
         assert img.shape == (1, 2)
 
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "t.pgm"
         write_pgm_bytes(p, b"P5\n2 2\n255\n", bytes([0, 1, 2]))
         with pytest.raises(ImageFormatError, match="truncated"):
-            load_pgm(p)
+            load_image(p)
 
     def test_malformed_header_reports_offset(self, tmp_path):
         p = tmp_path / "m.pgm"
         write_pgm_bytes(p, b"P5\nxx 2\n255\n", bytes(4))
         with pytest.raises(ImageFormatError, match="byte offset"):
-            load_pgm(p)
+            load_image(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "n.pgm"
@@ -62,7 +62,7 @@ class TestPgmIO:
         p = tmp_path / "o.pgm"
         write_pgm_bytes(p, b"P5\n1 1\n70000\n", bytes(4))
         with pytest.raises(ImageFormatError, match="maxval"):
-            load_pgm(p)
+            load_image(p)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -83,7 +83,7 @@ class TestPgmIO:
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0)])
     def test_save_rejects_image_without_pixels(self, tmp_path, shape):
-        # load_pgm rejects such a file, so none is written
+        # load_image rejects such a file, so none is written
         p = tmp_path / "empty.pgm"
         with pytest.raises(ValueError, match="no pixels"):
             save_pgm(np.zeros(shape), p)
@@ -195,7 +195,6 @@ class TestReadPixels:
         # the whole payload cast to float64, then one division
         want = samples.astype(np.float64) / maxval
         assert bits(load_image(p)) == bits(want)
-        assert bits(load_pgm(p)) == bits(want)
         assert bits(load_image(p)) == \
             bits(np.divide(*_read_pixels(p), dtype=np.float64))
 
