@@ -901,6 +901,7 @@ class TestNoiseJobPool:
             pools = self.force_pool(patch)
             pooled, pooled_warned = run()
         assert len(pools) == 1
+        assert multiprocessing.active_children() == []
         assert pooled.to_csv() == inline.to_csv()
         message = ("ValueError: image variance overflows float64: no noise "
                    "level can be set")
