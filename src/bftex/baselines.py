@@ -38,7 +38,6 @@ def gaussian_derivative(img, sigma, order):
     order 1: gradient magnitude sqrt(Gx^2 + Gy^2).
     order 2: Laplacian-of-Gaussian response Gxx + Gyy.
     """
-    img = np.asarray(img, dtype=np.float64)
     g = gaussian_kernel_1d(sigma)
     if order == 0:
         return convolve_separable(img, g)

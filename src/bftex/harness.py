@@ -234,6 +234,9 @@ class ExperimentConfig:
     include_timing: bool = False
 
     def __post_init__(self):
+        if not self.preprocessors:
+            raise ConfigError("preprocessors must name at least one "
+                              "preprocessor")
         unknown = {entry for entry in self.preprocessors
                    if not isinstance(entry, BfParams)
                    and entry not in baselines.BASELINE_NAMES}
@@ -263,12 +266,12 @@ def _label(entry):
 def apply_preprocessor(img, name, config):
     """Run the named preprocessor (or bf at a BfParams entry's parameters)
     on an image or a stack of them; bf yields an ON/OFF map pair."""
+    if name == "bf":
+        name = config.bf_params
     if isinstance(name, BfParams):
         return bf_preprocess(img, name)
     if name == "none":
         return img
-    if name == "bf":
-        return bf_preprocess(img, config.bf_params)
     if name == "gamma":
         return baselines.gamma_correct(img, config.gamma)
     if name == "dog":
@@ -353,8 +356,9 @@ def _extract_features(pixels, maxvals, paths, ids, entries, config,
     Each block (see _blocks) is made float64 once and read by every entry
     still running; with ``noise`` as (snr, rng), add_gaussian_noise is
     first applied to each of its images in ``ids`` order.  An entry that
-    fails on bad input (OSError or ValueError) reads no further block, and
-    a failed draw fails every entry still running.  An image with a NaN or
+    fails on bad input (a ValueError) reads no further block, and a failed
+    draw fails every entry still running.  The images are read before
+    this runs, so no file error can arise here.  An image with a NaN or
     infinite pixel is named by its path.
     """
     feats, failed = {}, {}
@@ -368,7 +372,7 @@ def _extract_features(pixels, maxvals, paths, ids, entries, config,
                 np.divide(pixels[j], maxvals[j], out=block[k])
                 if noise:
                     block[k] = add_gaussian_noise(block[k], *noise)
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             failed.update(dict.fromkeys(live,
                                         f"{type(exc).__name__}: {exc}"))
             break
@@ -377,7 +381,7 @@ def _extract_features(pixels, maxvals, paths, ids, entries, config,
                 hists = descriptors.extract(
                     apply_preprocessor(block, entry, config),
                     config.descriptor)
-            except (OSError, ValueError) as exc:
+            except ValueError as exc:
                 if isinstance(exc, NonFiniteImageError):
                     exc = NonFiniteImageError(
                         f"{paths[ids[lo + exc.index]]}: image has NaN or "
@@ -508,12 +512,13 @@ def run_experiment(config, manifest=None, images=None):
     protocols run their jobs on every CPU (see _job_results).  A job reads
     no other job's result, so the report and warnings are the same either
     way: every job runs every preprocessor that finished its clean row.
-    A preprocessor that fails on bad input
-    (OSError or ValueError) while its images are drawn, preprocessed or
-    described keeps the rows of the levels before its first failure and
-    is recorded as a failure under its label, and the others still run;
-    any other error propagates.  Clean rows carry timings only when
-    config.include_timing is set.
+    A preprocessor that fails on bad input (a ValueError) while its
+    images are drawn, preprocessed or described keeps the rows of the
+    levels before its first failure and is recorded as a failure under
+    its label, and the others still run; any other error propagates.
+    Every image is read before the first row, so a file that cannot be
+    read (an OSError) fails the whole run.  Clean rows carry timings
+    only when config.include_timing is set.
     """
     if manifest is None:
         manifest = load_manifest(config.manifest_path, suite=config.suite)
@@ -625,7 +630,8 @@ def sweep_bf_params(config, sigma1_values, sigma2_values, epsilon_values):
     entries = tuple(BfParams(s1, s2, eps) for s1, s2 in pairs if 0 < s1 < s2
                     for eps in epsilon_values)
     if not entries:
-        raise ConfigError("no valid (sigma1, sigma2) pair in the grid")
+        raise ConfigError("the grid has no point: it needs a value on "
+                          "each axis and a pair with 0 < sigma1 < sigma2")
     report = run_experiment(replace(config, preprocessors=entries))
     report.failures[:0] = [(f"bf[{s1:g},{s2:g},*]",
                             "skipped: requires 0 < sigma1 < sigma2")

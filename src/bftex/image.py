@@ -9,13 +9,17 @@ decoding is available when Pillow is installed.
 
 import csv
 import math
-import os
+import re
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import convolve1d
+from scipy.ndimage import correlate1d
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
+# A PGM header token, and the whitespace and #-to-end-of-line comments
+# before it; a '#' inside a token is part of the token.
+_PGM_TOKEN = re.compile(rb"\S+")
+_PGM_SKIP = re.compile(rb"(?:\s|#[^\n]*)*")
 
 
 class ImageFormatError(ValueError):
@@ -38,22 +42,11 @@ class NonFiniteImageError(ValueError):
 
 def _read_pgm_token(buf, pos):
     """Return (token, new_pos), skipping whitespace and # comments."""
-    n = len(buf)
-    while pos < n:
-        c = buf[pos:pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            while pos < n and buf[pos:pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not buf[pos:pos + 1].isspace():
-        pos += 1
-    if start == pos:
+    start = _PGM_SKIP.match(buf, pos).end()
+    token = _PGM_TOKEN.match(buf, start)
+    if token is None:
         raise ImageFormatError("unexpected end of PGM header", offset=start)
-    return buf[start:pos], pos
+    return token[0], token.end()
 
 
 def _pgm_pixels(buf):
@@ -223,18 +216,12 @@ def convolve_separable(img, kernel_row=None, kernel_col=None):
 
     kernel_col runs down the columns (axis -2), kernel_row along the rows
     (axis -1).  With one kernel given, it is applied along both axes (the
-    usual isotropic Gaussian case).  Kernels here are symmetric or are
-    built for correlation semantics, so no flipping is performed.
+    usual isotropic Gaussian case).  Kernels are correlated as given.
     """
     img = np.asarray(img, dtype=np.float64)
     if kernel_col is None:
         kernel_col = kernel_row
     if kernel_row is None:
         kernel_row = kernel_col
-    out = convolve1d(img, kernel_col[::-1], axis=-2, mode="nearest")
-    return convolve1d(out, kernel_row[::-1], axis=-1, mode="nearest")
-
-
-def gaussian_blur(img, sigma):
-    k = gaussian_kernel_1d(sigma)
-    return convolve_separable(img, k)
+    out = correlate1d(img, kernel_col, axis=-2, mode="nearest")
+    return correlate1d(out, kernel_row, axis=-1, mode="nearest")

@@ -85,8 +85,6 @@ def split_maps(response, epsilon):
     return BfMaps(plus=plus, minus=minus, raw=response)
 
 
-def bf_preprocess(img, params=None):
+def bf_preprocess(img, params=BfParams()):
     """Full preprocessing: band-pass filter then ON/OFF split."""
-    if params is None:
-        params = BfParams()
     return split_maps(dog_filter(img, params), params.epsilon)

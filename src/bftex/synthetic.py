@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .image import gaussian_blur, save_pgm
+from .image import convolve_separable, gaussian_kernel_1d, save_pgm
 
 DEFAULT_CLASSES = 8
 DEFAULT_PER_CLASS = 20
@@ -45,7 +45,8 @@ def _checker(size, cells, rng):
 
 
 def _blobs(size, sigma, rng):
-    base = gaussian_blur(rng.normal(size=(size, size)), sigma)
+    base = convolve_separable(rng.normal(size=(size, size)),
+                              gaussian_kernel_1d(sigma))
     lo, hi = base.min(), base.max()
     return (base - lo) / (hi - lo) if hi > lo else np.full_like(base, 0.5)
 

@@ -456,13 +456,24 @@ class TestRunExperiment:
                 assert [on_rec[i] for i in timing] == ["", ""]
 
     def test_programming_error_propagates(self, small_suite, monkeypatch):
-        # only bad input (OSError, ValueError) becomes a failure row
+        # only bad input (a ValueError) becomes a failure row
         def broken(img, name, config):
             raise TypeError("broken preprocessor")
 
         monkeypatch.setattr(harness, "apply_preprocessor", broken)
         with pytest.raises(TypeError, match="broken preprocessor"):
             run_experiment(small_config(small_suite))
+
+    def test_unreadable_file_fails_the_run(self, small_suite, tmp_path):
+        # every image is read before the first row, so no row is a
+        # failure line: the file's OSError ends the run
+        manifest = load_manifest(small_suite)
+        missing = tmp_path / "missing.pgm"
+        lines = [f"{missing} {manifest.samples[0][1]}"] + [
+            f"{path} {label}" for path, label in manifest.samples[1:]]
+        with pytest.raises(FileNotFoundError, match="missing.pgm"):
+            run_experiment(small_config(
+                write_manifest(tmp_path / "m.txt", lines)))
 
     def test_failure_row_names_too_small_deriv_sigma(self, small_suite):
         report = run_experiment(small_config(
@@ -562,6 +573,12 @@ class TestRunExperiment:
     def test_unknown_preprocessor_rejected(self, small_suite):
         with pytest.raises(ConfigError):
             small_config(small_suite, preprocessors=("nope",))
+
+    def test_no_preprocessor_rejected(self, small_suite):
+        # the report would hold its header row alone, with no failure
+        with pytest.raises(ConfigError, match="preprocessors must name at "
+                                              "least one preprocessor"):
+            small_config(small_suite, preprocessors=())
 
     def test_repeated_preprocessor_rejected(self, small_suite):
         # it would run twice and report two identical sets of rows
@@ -1065,9 +1082,11 @@ class TestSweep:
         assert len(report.rows) == 1
 
     def test_empty_grid_rejected(self, small_suite):
-        with pytest.raises(ConfigError):
-            sweep_bf_params(small_config(small_suite, preprocessors=("bf",)),
-                            [3.0], [2.0], [0.1])
+        config = small_config(small_suite, preprocessors=("bf",))
+        # no pair with sigma1 < sigma2, or an empty axis
+        for axes in (([3.0], [2.0], [0.1]), ([1.0], [3.0], [])):
+            with pytest.raises(ConfigError, match="the grid has no point"):
+                sweep_bf_params(config, *axes)
 
     def test_grid_axis_left_out_takes_its_default(self):
         assert harness.build_sweep_grid({"sigma2": "3, 4"}) == [

@@ -198,6 +198,36 @@ class TestReadPixels:
         assert bits(load_image(p)) == \
             bits(np.divide(*_read_pixels(p), dtype=np.float64))
 
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(h=st.integers(1, 3), w=st.integers(1, 4),
+           maxval=st.sampled_from([1, 255, 256, 65535]), data=st.data())
+    def test_pgm_header_separators(self, tmp_path, h, w, maxval, data):
+        # between header fields: runs of the six whitespace bytes and of
+        # '#' comments running to a newline, starting with whitespace so
+        # that no comment joins the field before it
+        space = st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c"])
+        comment = st.binary(max_size=6).map(
+            lambda text: b"#" + text.replace(b"\n", b"") + b"\n")
+        sep = st.tuples(space, st.lists(st.one_of(space, comment),
+                                        max_size=4)).map(
+            lambda parts: parts[0] + b"".join(parts[1]))
+        header = b"P5" + b"".join(data.draw(sep) + str(field).encode()
+                                  for field in (w, h, maxval))
+        header += data.draw(space)  # the one byte before the payload
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        samples = np.array(data.draw(st.lists(
+            st.integers(0, maxval), min_size=h * w, max_size=h * w)),
+            dtype=dtype).reshape(h, w)
+        p = tmp_path / "s.pgm"
+        write_pgm_bytes(p, header, samples.tobytes())
+        assert bits(load_image(p)) == bits(samples.astype(np.float64) / maxval)
+        whole = p.read_bytes()
+        for n in range(len(whole)):
+            p.write_bytes(whole[:n])
+            with pytest.raises(ImageFormatError):
+                load_image(p)
+
     def test_unknown_format_rejected(self, tmp_path):
         p = tmp_path / "x.bmp"
         p.write_bytes(b"BM" + bytes(20))
