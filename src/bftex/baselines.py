@@ -11,9 +11,6 @@ from .image import (convolve_separable, gaussian_derivative_kernel_1d,
                     gaussian_kernel_1d)
 from .retina import BfParams, dog_filter
 
-BASELINE_NAMES = ("none", "bf", "gamma", "dog", "gderiv0", "gderiv1", "gderiv2")
-
-
 def gamma_correct(img, gamma):
     """Pointwise sign-preserving power law out = sign(img) * |img| ** gamma.
 

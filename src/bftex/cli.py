@@ -57,16 +57,16 @@ def cmd_filter(args):
 
 
 def cmd_extract(args):
-    config = descriptors.DescriptorConfig(family=args.family,
-                                          scheme=args.scheme, p=args.p,
-                                          r=args.r, ltp_t=args.ltp_t)
-    params = (BfParams(args.sigma1, args.sigma2, args.epsilon)
-              if args.preproc == "bf" else None)
+    config = harness.ExperimentConfig(
+        manifest_path=None, preprocessors=(args.preproc,),
+        descriptor=descriptors.DescriptorConfig(
+            family=args.family, scheme=args.scheme, p=args.p, r=args.r,
+            ltp_t=args.ltp_t),
+        bf_params=BfParams(args.sigma1, args.sigma2, args.epsilon))
     rows = []
     for path in args.input:
-        img = load_image(path)
-        source = bf_preprocess(img, params) if params else img
-        hist = descriptors.extract(source, config)
+        hist = descriptors.extract(harness.apply_preprocessor(
+            load_image(path), args.preproc, config), config.descriptor)
         rows.append([os.path.basename(path), str(args.label)]
                     + [repr(float(v)) for v in hist])
     with (open(args.out, "w", newline="") if args.out
@@ -174,7 +174,8 @@ def build_parser():
     p = sub.add_parser("extract", help="extract descriptor histograms")
     p.add_argument("--input", nargs="+", required=True)
     p.add_argument("--label", type=int, default=0)
-    p.add_argument("--preproc", choices=("none", "bf"), default="bf")
+    p.add_argument("--preproc", choices=tuple(harness.PREPROCESSORS),
+                   default="bf")
     p.add_argument("--out", help="CSV output (default stdout)")
     _add_descriptor_flags(p)
     _add_bf_flags(p)

@@ -239,9 +239,10 @@ class ExperimentConfig:
                               "preprocessor")
         unknown = {entry for entry in self.preprocessors
                    if not isinstance(entry, BfParams)
-                   and entry not in baselines.BASELINE_NAMES}
+                   and entry not in PREPROCESSORS}
         if unknown:
-            raise ConfigError(f"unknown preprocessors: {sorted(unknown)}")
+            raise ConfigError(f"unknown preprocessors: {sorted(unknown)} "
+                              f"(known: {', '.join(PREPROCESSORS)})")
         # rows and failures carry labels, so two entries may not share one
         labels = [_label(entry) for entry in self.preprocessors]
         repeated = {lab for lab in labels if labels.count(lab) > 1}
@@ -263,24 +264,27 @@ def _label(entry):
     return entry
 
 
+# Preprocessor name -> function of (image or stack, ExperimentConfig).
+# Each looks up bf_preprocess or its baselines function at call time, so a
+# rebound module attribute (perfbench/tracer.py) sees every call.
+PREPROCESSORS = {
+    "none": lambda img, config: img,
+    "bf": lambda img, config: bf_preprocess(img, config.bf_params),
+    "gamma": lambda img, config: baselines.gamma_correct(img, config.gamma),
+    "dog": lambda img, config: baselines.dog_only(
+        img, config.bf_params.sigma1, config.bf_params.sigma2),
+    **{f"gderiv{order}": lambda img, config, order=order:
+       baselines.gaussian_derivative(img, config.deriv_sigma, order)
+       for order in range(3)},
+}
+
+
 def apply_preprocessor(img, name, config):
-    """Run the named preprocessor (or bf at a BfParams entry's parameters)
-    on an image or a stack of them; bf yields an ON/OFF map pair."""
-    if name == "bf":
-        name = config.bf_params
+    """Run PREPROCESSORS[name], or bf at a BfParams entry's parameters, on
+    an image or a stack of them; bf yields an ON/OFF map pair."""
     if isinstance(name, BfParams):
         return bf_preprocess(img, name)
-    if name == "none":
-        return img
-    if name == "gamma":
-        return baselines.gamma_correct(img, config.gamma)
-    if name == "dog":
-        return baselines.dog_only(img, config.bf_params.sigma1,
-                                  config.bf_params.sigma2)
-    if name in ("gderiv0", "gderiv1", "gderiv2"):
-        return baselines.gaussian_derivative(img, config.deriv_sigma,
-                                             int(name[-1]))
-    raise ConfigError(f"unknown preprocessor {name!r}")
+    return PREPROCESSORS[name](img, config)
 
 
 @dataclass
@@ -528,7 +532,9 @@ def run_experiment(config, manifest=None, images=None):
         pixels, maxvals = images, np.ones(len(images))
     suite = config.suite or manifest.suite
     paths = [path for path, _ in manifest.samples]
-    labels = np.asarray([lab for _, lab in manifest.samples], dtype=np.int64)
+    # 0..K-1 in label order, so evaluate's confusion matrix is K x K
+    labels = [lab for _, lab in manifest.samples]
+    labels = np.searchsorted(sorted(set(labels)), labels)
     splits = make_splits(manifest, config.split)
     desc = config.descriptor
 
@@ -593,20 +599,17 @@ def run_experiment(config, manifest=None, images=None):
 
     work = len(feats) * sum(np.size(pixels[j]) for _, rep in jobs
                             for j in corrupted(rep)[1])
-    accs = [{name: [] for name in feats} for _ in levels]
-    failed_at = {}  # entry -> level of its first noise failure
-    for (li, _), (job_accs, job_failed) in zip(
-            jobs, _job_results(job, jobs, work)):
-        for name, msg in job_failed.items():
-            if name not in failed:  # the first failure wins
-                failed[name], failed_at[name] = msg, li
-        for name, acc in job_accs.items():
-            accs[li][name].append(acc)
-    for li, snr in enumerate(levels):
-        for name in feats:
-            if failed_at.get(name, len(levels)) > li:
-                rows[name].append(row(name, f"{snr:g}", accs[li][name],
-                                      feats[name].shape[1]))
+    results = iter(_job_results(job, jobs, work))
+    by_level = [tuple(zip(*itertools.islice(results, config.noise.repeats)))
+                for _ in levels]  # (accs, failures) of each level's jobs
+    for name in feats:  # the first failure in job order wins
+        for snr, (accs, fails) in zip(levels, by_level):
+            msg = next((f[name] for f in fails if name in f), None)
+            if msg is not None:
+                failed[name] = msg
+                break
+            rows[name].append(row(name, f"{snr:g}", [a[name] for a in accs],
+                                  feats[name].shape[1]))
     return ExperimentReport(rows=[r for name in names for r in rows[name]],
                             failures=[(_label(name), failed[name])
                                       for name in names if name in failed])
@@ -617,15 +620,21 @@ def sweep_bf_params(config, sigma1_values, sigma2_values, epsilon_values):
     epsilon) triple, in grid order, in place of config.preprocessors.
 
     The grid sets the filter, so config.preprocessors must be ("bf",) and
-    config.bf_params is not read.  Pairs violating sigma1 < sigma2 are
-    skipped and listed first among the failures.  The preprocessor column
-    carries each entry's label, so averaging across epsilon stays a plain
-    group-by on that column.
+    config.bf_params is not read.  A NaN or infinite value on any axis is
+    a ConfigError.  Pairs violating sigma1 < sigma2 are skipped and listed
+    first among the failures.  The preprocessor column carries each
+    entry's label, so averaging across epsilon stays a plain group-by on
+    that column.
     """
     if config.preprocessors != ("bf",):
         labels = [_label(entry) for entry in config.preprocessors]
         raise ConfigError(f"a sweep's grid sets 'preprocessor', so its config "
                           f"may give only bf, not {labels}")
+    for axis, values in zip(SWEEP_GRID, (sigma1_values, sigma2_values,
+                                         epsilon_values)):
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"grid axis '{axis}' must be finite, got "
+                              f"{list(values)}")
     pairs = [(s1, s2) for s1 in sigma1_values for s2 in sigma2_values]
     entries = tuple(BfParams(s1, s2, eps) for s1, s2 in pairs if 0 < s1 < s2
                     for eps in epsilon_values)

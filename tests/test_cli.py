@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bftex import descriptors, harness
 from bftex.classify import ReferenceSet, chi2, nn_classify
 from bftex.cli import main
 from bftex.image import load_image, save_pgm
+from bftex.retina import BfParams
 from bftex.synthetic import CLASS_NAMES, generate_suite
 
 from oracles import load_csv_matrix
@@ -182,6 +184,96 @@ class TestExtractClassify:
                         "--r", "inf"]) == 2
         assert "radius r must be in (0, inf)" in capsys.readouterr().err
 
+    def test_bad_sigmas_are_usage_error_for_every_preprocessor(
+            self, sample_image, capsys):
+        # the band-pass parameters are checked even where they are not read
+        assert run_cli(["extract", "--input", str(sample_image), "--preproc",
+                        "none", "--sigma1", "4", "--sigma2", "2"]) == 2
+        assert "error: require 0 < sigma1 < sigma2" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def few_shot_suite(tmp_path_factory):
+    """9 classes x 6 images of 32^2 and a predefined split with one
+    training image a class: (directory, {"train"|"test": [(name, label)]})."""
+    out = tmp_path_factory.mktemp("few_shot")
+    generate_suite(out, n_classes=9, per_class=6, size=32, seed=3)
+    sides, lines, seen = {"train": [], "test": []}, [], set()
+    for line in (out / "manifest.txt").read_text().splitlines()[1:]:
+        name, label = line.split()
+        side = "test" if label in seen else "train"
+        seen.add(label)
+        sides[side].append((name, label))
+        lines.append(f"{name} {label} {side}")
+    (out / "predefined.txt").write_text("\n".join(lines) + "\n")
+    return out, sides
+
+
+# flags of both surfaces: LBP P=8 on band-pass parameters off their defaults
+PIPELINE_FLAGS = {"family": "lbp", "p": "8", "sigma1": "0.75", "sigma2": "3",
+                  "epsilon": "0.05"}
+
+
+class TestOnePipeline:
+    """bftex extract, and extract + classify, reach the same preprocessing
+    and description as the experiment harness for every preprocessor."""
+
+    def _extract(self, directory, names, label, out, name):
+        flags = [arg for key, value in PIPELINE_FLAGS.items()
+                 for arg in (f"--{key}", value)]
+        assert run_cli(["extract", "--input",
+                        *(str(directory / n) for n in names),
+                        "--label", label, "--preproc", name, "--out", str(out),
+                        *flags]) == 0
+        return out.read_text()
+
+    @pytest.mark.parametrize("name", harness.PREPROCESSORS)
+    def test_extract_rows_equal_the_harness_pipeline(self, few_shot_suite,
+                                                     tmp_path, name):
+        directory, sides = few_shot_suite
+        names = [n for n, _ in sides["test"][::5]]
+        text = self._extract(directory, names, "4", tmp_path / "f.csv", name)
+        config = harness.ExperimentConfig(
+            manifest_path=None,
+            descriptor=descriptors.DescriptorConfig(family="lbp", p=8),
+            bf_params=BfParams(0.75, 3.0, 0.05))
+        want = []
+        for n in names:
+            hist = descriptors.extract(harness.apply_preprocessor(
+                load_image(directory / n), name, config), config.descriptor)
+            want.append(",".join([n, "4"] + [repr(float(v)) for v in hist]))
+        assert text.splitlines() == want
+
+    @pytest.mark.parametrize("name", harness.PREPROCESSORS)
+    def test_extract_and_classify_equal_experiment(self, few_shot_suite,
+                                                   tmp_path, capsys, name):
+        directory, sides = few_shot_suite
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"manifest = {directory / 'predefined.txt'}\n"
+                       f"mode = predefined\npreprocessor = {name}\n"
+                       + "".join(f"{k} = {v}\n"
+                                 for k, v in PIPELINE_FLAGS.items()))
+        report = tmp_path / "report.csv"
+        assert run_cli(["experiment", "--config", str(cfg),
+                        "--out", str(report)]) == 0
+        rows = list(csv.DictReader(report.read_text().splitlines()))
+        assert [row["snr"] for row in rows] == ["clean"]
+        # one extract per class in label order: the manifest's order, so
+        # the references and their ties are the experiment's
+        for side, samples in sides.items():
+            text = "".join(
+                self._extract(directory, [n for n, lab in samples
+                                          if lab == label],
+                              label, tmp_path / f"{side}{label}.csv", name)
+                for label in sorted({lab for _, lab in samples}, key=int))
+            (tmp_path / f"{side}.csv").write_text(text)
+        capsys.readouterr()
+        assert run_cli(["classify", "--refs", str(tmp_path / "train.csv"),
+                        "--queries", str(tmp_path / "test.csv")]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == f"accuracy,{rows[0]['mean_accuracy']}"
+        assert float(rows[0]["mean_accuracy"]) < 1.0  # not one at both ends
+
 
 class TestExperimentCommand:
     def test_end_to_end_and_determinism(self, tmp_path, capsys):
@@ -347,6 +439,23 @@ class TestSweepCommand:
         assert run_cli(["sweep", "--config", str(cfg), "--grid", str(grid)]) == 2
         assert "'sigma1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid,key", [
+        ("sigma1 = 1,nan\nsigma2 = 3\nepsilon = 0.1\n", "sigma1"),
+        ("sigma1 = nan\nsigma2 = 3\nepsilon = 0.1\n", "sigma1"),
+        ("sigma1 = 1\nsigma2 = 3,inf\nepsilon = 0.1\n", "sigma2")])
+    def test_non_finite_grid_value_is_usage_error(self, tmp_path, capsys,
+                                                  grid, key):
+        manifest = generate_suite(tmp_path / "suite", n_classes=4,
+                                  per_class=4, size=48, seed=3)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"manifest = {manifest}\nn_train = 2\n")
+        (tmp_path / "grid.cfg").write_text(grid)
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--config", str(cfg), "--grid",
+                        str(tmp_path / "grid.cfg"), "--out", str(out)]) == 2
+        assert f"error: grid axis '{key}' must be finite" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("line,key", [
         ("sigma1 = 0.5", "'sigma1'"), ("epsilon = 0.2", "'epsilon'"),

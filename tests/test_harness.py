@@ -586,6 +586,48 @@ class TestRunExperiment:
                            match=r"repeated preprocessors: \['bf'\]"):
             small_config(small_suite, preprocessors=("bf", "none", "bf"))
 
+    def test_unknown_preprocessor_message_lists_the_table(self, small_suite):
+        with pytest.raises(ConfigError, match=re.escape(
+                "unknown preprocessors: ['nope'] (known: none, bf, gamma, "
+                "dog, gderiv0, gderiv1, gderiv2)")):
+            small_config(small_suite, preprocessors=("nope", "bf"))
+
+    def test_every_table_name_runs_through_apply_preprocessor(self):
+        img = np.random.default_rng(2).random((20, 20))
+        config = ExperimentConfig(manifest_path=None)
+        d = config.bf_params
+        want = {"none": img, "bf": harness.bf_preprocess(img, d),
+                "gamma": baselines.gamma_correct(img, 2.2),
+                "dog": baselines.dog_only(img, d.sigma1, d.sigma2),
+                **{f"gderiv{k}": baselines.gaussian_derivative(img, 1.0, k)
+                   for k in range(3)}}
+        assert list(want) == list(harness.PREPROCESSORS)
+        for name, expected in want.items():
+            got = apply_preprocessor(img, name, config)
+            if name == "bf":
+                for part in ("plus", "minus", "raw"):
+                    np.testing.assert_array_equal(getattr(got, part),
+                                                  getattr(expected, part))
+            else:
+                np.testing.assert_array_equal(got, expected)
+
+    def test_large_labels_give_the_same_report(self, tmp_path):
+        # evaluate sizes a confusion matrix by the largest label; the
+        # harness maps labels to 0..K-1 in order, which moves no byte
+        generate_suite(tmp_path, n_classes=3, per_class=6, size=32, seed=1)
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()[1:]
+        noise = NoiseSpec(snr_levels=(10.0, 5.0), repeats=3, seed=4)
+        reports = []
+        for labels in ((0, 1, 2), (0, 5, 3000000)):
+            path = write_manifest(
+                tmp_path / f"m{labels[-1]}.txt",
+                [f"{name} {labels[int(lab)]}"
+                 for name, lab in map(str.split, lines)])
+            reports.append(run_experiment(small_config(
+                path, suite="s", noise=noise)).to_csv())
+        assert reports[0] == reports[1]
+        assert len(reports[0].splitlines()) == 1 + 2 * 3
+
 
 BLOCK_DESCRIPTORS = {
     "lbp": DescriptorConfig(family="lbp", p=8, r=1.0),
@@ -895,6 +937,35 @@ class TestNoiseJobPool:
         assert [sorted(accs) for accs, _ in results[0]] == \
             [["bf", "dog"], ["bf"], ["bf", "dog"], ["bf"]]
 
+    def test_first_failing_level_ends_an_entry(self, small_suite,
+                                               monkeypatch):
+        # dog fails at the middle level only, with a message per repeat: it
+        # keeps the level before, has no row from there on, and is recorded
+        # with the message of the first job in order that failed
+        _, _, splits = self.images_and_splits(small_suite)
+        assert splits[0][1][:4] != splits[1][1][:4]
+        real = harness._extract_features
+
+        def failing(pixels, maxvals, paths, ids, entries, config, noise=None):
+            feats, failed = real(pixels, maxvals, paths, ids, entries, config,
+                                 noise)
+            if noise and noise[0] == 10.0 and "dog" in feats:
+                del feats["dog"]
+                failed["dog"] = f"refused on images {ids[:4]}"
+            return feats, failed
+
+        monkeypatch.setattr(harness, "_extract_features", failing)
+        config = small_config(small_suite, preprocessors=("dog", "bf"),
+                              noise=replace(self.NOISE,
+                                            snr_levels=(30.0, 10.0, 3.0)))
+        inline, pooled = self.inline_and_pooled(monkeypatch, config)
+        assert pooled.to_csv() == inline.to_csv()
+        assert pooled.failures == inline.failures == [
+            ("dog", f"refused on images {splits[0][1][:4]}")]
+        assert [(r.preprocessor, r.snr) for r in inline.rows] == [
+            ("dog", "clean"), ("dog", "30"), ("bf", "clean"), ("bf", "30"),
+            ("bf", "10"), ("bf", "3")]
+
     def test_failed_draw(self, small_suite, monkeypatch):
         manifest, images, splits = self.images_and_splits(small_suite)
         # finite pixels whose variance overflows: no noise can be drawn
@@ -1087,6 +1158,21 @@ class TestSweep:
         for axes in (([3.0], [2.0], [0.1]), ([1.0], [3.0], [])):
             with pytest.raises(ConfigError, match="the grid has no point"):
                 sweep_bf_params(config, *axes)
+
+    @pytest.mark.parametrize("axes,axis", [
+        (([1.0, math.nan], [3.0], [0.1]), "sigma1"),
+        (([math.nan], [3.0], [0.1]), "sigma1"),
+        (([1.0], [3.0, math.inf], [0.1]), "sigma2"),
+        (([1.0], [3.0], [0.1, -math.inf]), "epsilon")])
+    def test_non_finite_grid_value_rejected(self, small_suite, monkeypatch,
+                                            axes, axis):
+        # rejected before any pair is made or image read, whichever axis
+        monkeypatch.setattr(harness, "_read_pixels",
+                            lambda path: pytest.fail("suite read"))
+        with pytest.raises(ConfigError,
+                           match=f"grid axis '{axis}' must be finite"):
+            sweep_bf_params(small_config(small_suite, preprocessors=("bf",)),
+                            *axes)
 
     def test_grid_axis_left_out_takes_its_default(self):
         assert harness.build_sweep_grid({"sigma2": "3, 4"}) == [
