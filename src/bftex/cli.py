@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import descriptors, harness
-from .classify import ReferenceSet, chi2_matrix, evaluate
+from .classify import ReferenceSet, _check_labels, chi2_matrix, evaluate
 from .image import load_image, save_csv_matrix, save_pgm
 from .retina import BfParams, bf_preprocess
 from .synthetic import (DEFAULT_CLASSES, DEFAULT_PER_CLASS, DEFAULT_SIZE,
@@ -107,8 +107,15 @@ def cmd_classify(args):
     ids, q_labels, q_feats = _read_feature_csv(args.queries)
     refs = ReferenceSet(ref_feats, ref_labels)
     dist = chi2_matrix(q_feats, refs)
-    acc, confusion = evaluate(dist, q_labels, refs.labels)
-    for i, j in enumerate(np.argmin(dist, axis=1)):
+    nearest = np.argmin(dist, axis=1)
+    # the confusion matrix is indexed by raw label value, so it is built
+    # only on request: a label of 3000000 would make it 65.5 TiB
+    if args.confusion:
+        acc, confusion = evaluate(dist, q_labels, refs.labels)
+    else:
+        _check_labels(q_labels, "query")
+        acc = int(np.sum(refs.labels[nearest] == q_labels)) / len(q_labels)
+    for i, j in enumerate(nearest):
         print(f"{ids[i]},{refs.labels[j]},{dist[i, j]:.6f}")
     print(f"accuracy,{acc:.6f}")
     if args.confusion:

@@ -420,9 +420,11 @@ def _run_splits(feats, labels, splits):
             for train, test in splits]
 
 
-# Corrupted pixels x live preprocessor entries, summed over a noise
-# protocol's (level, repeat) jobs, from which run_experiment runs the jobs
-# on forked worker processes.  On 2 shared CPUs a two-worker fork pool
+# Pixel-entries of a phase's jobs from which run_experiment runs them on
+# forked worker processes: suite pixels x preprocessor entries for the
+# clean rows, and corrupted pixels x live entries, summed over the
+# protocol's (level, repeat) jobs, for the noise rows.  Set on noise
+# jobs.  On 2 shared CPUs a two-worker fork pool
 # took 11 ms to start and stop, and busy CPUs slowed each worker's jobs.
 # Over 16 alternating runs each on one 64^2 suite (LBP P=8), protocols of
 # 1.25 million pixel-entries ran 15-33 ms slower on the pool, and ones of
@@ -432,8 +434,16 @@ def _run_splits(feats, labels, splits):
 # faster at 1.05 and 2.1 million; LBP P=8 on bf and none broke even at
 # 0.5, ran 28 ms slower at 0.8 and 12 and 55 ms faster at 1.05 and 2.1
 # million.  The threshold, set on LBP P=8, errs towards inline for both.
+# Clean rows on 8 classes of 64^2 (10 alternating runs each): CLBP S/M/C
+# P=16 ran faster on the pool from 1.05 million (bf and dog 276 -> 190
+# ms, bf and none 234 -> 171 ms), but LBP P=8 on bf and none ran slower
+# at 2.1 and 4.2 million, faster in at most 2 runs of 10 in each of three
+# sessions (126-161 -> 144-199 ms at 2.1).  Its jobs are uneven (bf 465
+# ms, none 167 ms inline at 8.4 million), and on the pool each ran slower
+# than inline.
 _POOL_PIXELS = 1 << 21
-# The noise job, set only in the pool's worker processes (_start_worker).
+# The phase's job (a clean row or a noise (level, repeat)), set only in the
+# pool's worker processes (_start_worker).
 _forked_job = None
 
 
@@ -476,7 +486,10 @@ def _job_results(job, jobs, work):
     begun no other thread runs either: the chi2 kernel joins its threads
     before it returns, the OpenBLAS of the numpy and scipy wheels stops
     its threads in a fork handler, and the pool starts every worker
-    before its manager thread.  A worker's chi2 kernel runs inline, as
+    before its manager thread.  A thread that has been joined can still
+    be exiting, so the pool's own threads are waited for until the kernel
+    drops them (from /proc/self/task, where there is one): the next phase
+    forks its pool right after.  A worker's chi2 kernel runs inline, as
     the other workers hold the other CPUs.  On an error or an interrupt,
     the pending jobs are cancelled and every worker is joined before the
     error goes on; a worker's error keeps its traceback.  Otherwise the
@@ -496,7 +509,12 @@ def _job_results(job, jobs, work):
                 futures = [pool.submit(_run_forked, *args) for args in jobs]
                 return [_rewarn(*future.result()) for future in futures]
             finally:
+                helpers = [thread.native_id for thread in threading.enumerate()
+                           if thread is not threading.current_thread()]
                 pool.shutdown(wait=True, cancel_futures=True)
+                while any(os.path.exists(f"/proc/self/task/{tid}")
+                          for tid in helpers):
+                    time.sleep(1e-4)
     return [job(*args) for args in jobs]
 
 
@@ -509,13 +527,16 @@ def run_experiment(config, manifest=None, images=None):
     Clean accuracy is always reported; when a noise spec is present, one
     row per SNR level follows.  Noise is applied to test images only
     unless corrupt_train is set, and only the corrupted images are
-    extracted again.  Clean rows run one preprocessor at a time.  Each
-    noise (level, repeat) pair is one job: one pass over its corrupted
-    images a block at a time, with the noise drawn into the block and
-    shared by every preprocessor (see _extract_features).  Large noise
-    protocols run their jobs on every CPU (see _job_results).  A job reads
-    no other job's result, so the report and warnings are the same either
-    way: every job runs every preprocessor that finished its clean row.
+    extracted again.  Each preprocessor's clean row is one job, which
+    extracts the whole suite for it and runs every split.  Each noise
+    (level, repeat) pair is one job: one pass over its corrupted images a
+    block at a time, with the noise drawn into the block and shared by
+    every preprocessor (see _extract_features).  Each phase runs its jobs
+    on every CPU when it is large enough (see _job_results); the noise
+    phase forks its workers after the clean rows, so they inherit the
+    clean features.  A job reads no other job's result, so the report and
+    warnings are the same either way: every noise job runs every
+    preprocessor that finished its clean row.
     A preprocessor that fails on bad input (a ValueError) while its
     images are drawn, preprocessed or described keeps the rows of the
     levels before its first failure and is recorded as a failure under
@@ -546,18 +567,15 @@ def run_experiment(config, manifest=None, images=None):
             mean_accuracy=float(np.mean(accs)), std_accuracy=std,
             feature_size=fsize, extract_ms=extract_ms, match_ms=match_ms)
 
-    # by preprocessor entry; the noise jobs run level, repeat, block so that
-    # each repeat's noise is drawn once, yet rows list preprocessor first
-    names = config.preprocessors
-    feats, rows, failed = {}, {name: [] for name in names}, {}
-    for name in names:
+    def clean_job(name):
+        """The clean row of one entry (None if it failed), its features
+        when noise rows follow, and its failures."""
         t0 = time.perf_counter()
         clean, clean_failed = _extract_features(
             pixels, maxvals, paths, range(len(pixels)), (name,), config)
-        failed.update(clean_failed)
         hists = clean.pop(name, None)
         if hists is None:  # failed; the other preprocessors still run
-            continue
+            return None, None, clean_failed
         t1 = time.perf_counter()
         accs = _run_splits(hists, labels, splits)
         timing = ()
@@ -565,10 +583,20 @@ def run_experiment(config, manifest=None, images=None):
             timing = ((t1 - t0) * 1000.0 / len(pixels),
                       (time.perf_counter() - t1) * 1000.0
                       / sum(len(test) for _, test in splits))
-        rows[name].append(row(name, "clean", accs, hists.shape[1], *timing))
-        if config.noise:  # kept for the noise rows only
+        return (row(name, "clean", accs, hists.shape[1], *timing),
+                hists if config.noise else None, clean_failed)
+
+    # by preprocessor entry; the noise jobs run level, repeat, block so that
+    # each repeat's noise is drawn once, yet rows list preprocessor first
+    names = config.preprocessors
+    feats, rows, failed = {}, {}, {}
+    work = len(names) * sum(np.size(img) for img in pixels)
+    for name, (clean_row, hists, clean_failed) in zip(names, _job_results(
+            clean_job, [(name,) for name in names], work)):
+        failed.update(clean_failed)
+        rows[name] = [clean_row] if clean_row else []
+        if hists is not None:  # kept for the noise rows only
             feats[name] = hists
-        del hists
     levels = config.noise.snr_levels if config.noise else ()
     jobs = [(li, rep) for li in range(len(levels))
             for rep in range(config.noise.repeats)]

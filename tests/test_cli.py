@@ -136,6 +136,15 @@ class TestExtractClassify:
                         "--queries", str(bad)]) == 2
 
 
+    def test_large_label_without_confusion(self, tmp_path, capsys):
+        # a confusion matrix up to label 3000000 would take 65.5 TiB
+        feats = tmp_path / "f.csv"
+        feats.write_text("a,0,0.5,0.5\nb,3000000,1.0,0.0\n")
+        assert run_cli(["classify", "--refs", str(feats),
+                        "--queries", str(feats)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "a,0,0.000000", "b,3000000,0.000000", "accuracy,1.000000"]
+
     def test_negative_bin_is_usage_error(self, tmp_path, capsys):
         # chi2 would put these two different vectors at distance 0
         feats = tmp_path / "f.csv"

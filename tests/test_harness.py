@@ -827,37 +827,54 @@ needs_fork = pytest.mark.skipif(
 
 @needs_fork
 class TestNoiseJobPool:
-    """The noise jobs give the same report on forked workers as inline.
+    """The clean and noise jobs give the same report on forked workers as
+    inline.
 
     Counters kept in a worker never reach this process, so failures are
-    set off by the data each job draws, and the pool is seen through the
-    executors made."""
+    set off by the data each job draws, and each pool made is seen
+    through the jobs it was sent."""
 
     NOISE = NoiseSpec(snr_levels=(10.0, 3.0), repeats=2, seed=6)
 
     @staticmethod
     def force_pool(patch):
-        """Send every protocol of two or more jobs to a two-worker pool;
-        returns the list of pools made."""
+        """Send every phase of two or more jobs to a two-worker pool;
+        returns one list per pool made, of the job arguments it was
+        sent."""
         pools, real = [], concurrent.futures.ProcessPoolExecutor
 
         class Recorded(real):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                pools.append(self)
+                pools.append([])
+                self.sent = pools[-1]
+
+            def submit(self, fn, /, *args, **kwargs):
+                self.sent.append(args)
+                return super().submit(fn, *args, **kwargs)
 
         patch.setattr(harness, "_POOL_PIXELS", 0)
         patch.setattr(classify, "_cpu_count", lambda: 2)
         patch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
         return pools
 
+    @staticmethod
+    def phases(config):
+        """What force_pool records for a run of ``config``: the jobs of
+        each phase that has two or more, one entry each for the clean
+        rows, then the (level, repeat) pairs of the noise rows."""
+        clean = [(name,) for name in config.preprocessors]
+        noise = [(li, rep) for li in range(len(config.noise.snr_levels))
+                 for rep in range(config.noise.repeats)] if config.noise else []
+        return [jobs for jobs in (clean, noise) if len(jobs) > 1]
+
     def inline_and_pooled(self, monkeypatch, config, **kw):
-        """(report inline, report on the pool) of one run."""
+        """(report inline, report on the pools) of one run."""
         inline = run_experiment(config, **kw)
         with monkeypatch.context() as patch:
             pools = self.force_pool(patch)
             pooled = run_experiment(config, **kw)
-        assert len(pools) == 1
+        assert pools == self.phases(config)
         assert multiprocessing.active_children() == []
         return inline, pooled
 
@@ -932,9 +949,15 @@ class TestNoiseJobPool:
         assert backward.to_csv() == forward.to_csv()
         assert backward.failures == forward.failures == [
             ("dog", "ValueError: noisy copy refused")]
-        assert results[0] == results[1]
+        # clean then noise jobs, forward then backward
+        clean, noise, clean_back, noise_back = results
+        for (row, feats, failed), (row_back, feats_back, failed_back) in \
+                zip(clean, clean_back, strict=True):
+            assert row_back == row and failed_back == failed == {}
+            assert np.array_equal(feats_back, feats)
+        assert noise_back == noise
         # the dog entry runs after its first failure, at level 1 repeat 0
-        assert [sorted(accs) for accs, _ in results[0]] == \
+        assert [sorted(accs) for accs, _ in noise] == \
             [["bf", "dog"], ["bf"], ["bf", "dog"], ["bf"]]
 
     def test_first_failing_level_ends_an_entry(self, small_suite,
@@ -988,7 +1011,7 @@ class TestNoiseJobPool:
         with monkeypatch.context() as patch:
             pools = self.force_pool(patch)
             pooled, pooled_warned = run()
-        assert len(pools) == 1
+        assert pools == self.phases(config)
         assert multiprocessing.active_children() == []
         assert pooled.to_csv() == inline.to_csv()
         message = ("ValueError: image variance overflows float64: no noise "
@@ -1031,10 +1054,10 @@ class TestNoiseJobPool:
 
         monkeypatch.setattr(harness, "apply_preprocessor", broken_on_noise)
         pools = self.force_pool(monkeypatch)
+        config = small_config(small_suite, noise=self.NOISE)
         with pytest.raises(TypeError, match="broken on noisy input") as info:
-            run_experiment(small_config(small_suite, noise=self.NOISE),
-                           manifest=manifest, images=images)
-        assert len(pools) == 1
+            run_experiment(config, manifest=manifest, images=images)
+        assert pools == self.phases(config)
         assert multiprocessing.active_children() == []
         # the worker's own frames, down to the function that raised
         assert "in broken_on_noise" in str(info.value.__cause__)
@@ -1061,8 +1084,10 @@ class TestNoiseJobPool:
         np.ones((256, 256)) @ np.ones((256, 256))
         pools = self.force_pool(monkeypatch)
         monkeypatch.setattr(os, "fork", fork)
-        run_experiment(small_config(small_suite, noise=self.NOISE))
-        assert len(pools) == 1 and counts == [1, 1]
+        config = small_config(small_suite, noise=self.NOISE)
+        run_experiment(config)
+        # two workers for the clean rows, then two for the noise rows
+        assert pools == self.phases(config) and counts == [1, 1, 1, 1]
 
     def test_other_python_thread_runs_inline(self, small_suite, monkeypatch):
         # a worker could inherit that thread's locks held
@@ -1078,7 +1103,7 @@ class TestNoiseJobPool:
             other.join(timeout=10)
         assert not other.is_alive() and pools == []
         assert run_experiment(config).to_csv() == report.to_csv()
-        assert len(pools) == 1
+        assert pools == self.phases(config)
 
     def test_worker_chi2_kernel_runs_inline(self, small_suite, monkeypatch):
         # one-row blocks and no cell threshold: every chi2 call of more
@@ -1102,9 +1127,11 @@ class TestNoiseJobPool:
                                             cpus, repeats):
         pools = self.force_pool(monkeypatch)
         monkeypatch.setattr(classify, "_cpu_count", lambda: cpus)
-        run_experiment(small_config(
-            small_suite, noise=NoiseSpec(snr_levels=(5.0,), repeats=repeats)))
-        assert pools == []
+        config = small_config(
+            small_suite, noise=NoiseSpec(snr_levels=(5.0,), repeats=repeats))
+        run_experiment(config)
+        # on 2 CPUs the clean rows of the 2 entries still use a pool
+        assert pools == ([] if cpus == 1 else [[("bf",), ("none",)]])
 
     def test_daemonic_process_runs_inline(self, small_suite, monkeypatch):
         # a daemonic process may not have children, so it makes no pool
@@ -1118,7 +1145,7 @@ class TestNoiseJobPool:
         child.join(timeout=120)
         assert child.exitcode == 0
         assert results.get() == (run_experiment(config).to_csv(), 0)
-        assert len(pools) == 1  # the call in this process
+        assert pools == self.phases(config)  # the call in this process
 
     def test_small_protocol_runs_inline(self, small_suite, monkeypatch):
         # 12 test images of 48^2 x 2 entries x 4 jobs: under the threshold
@@ -1129,7 +1156,89 @@ class TestNoiseJobPool:
         monkeypatch.setattr(harness, "_POOL_PIXELS", 12 * 48 * 48 * 2 * 4)
         assert run_experiment(small_config(
             small_suite, noise=self.NOISE)).to_csv() == report.to_csv()
-        assert len(pools) == 1
+        # the clean rows' 2 entries x 24 images of 48^2 stay inline
+        assert pools == [[(0, 0), (0, 1), (1, 0), (1, 1)]]
+
+    def test_clean_report_equals_inline(self, small_suite, monkeypatch):
+        config = small_config(
+            small_suite, preprocessors=("bf", "dog", "none",
+                                        BfParams(0.5, 3.0, 0.05)))
+        inline, pooled = self.inline_and_pooled(monkeypatch, config)
+        assert pooled.to_csv() == inline.to_csv()
+        assert pooled.failures == inline.failures == []
+        assert [r.snr for r in inline.rows] == ["clean"] * 4
+
+    def test_clean_failure_names_the_image(self, small_suite, monkeypatch):
+        manifest, images, _ = self.images_and_splits(small_suite)
+        images[5] = images[5].copy()
+        images[5][3, 4] = np.nan
+        inline, pooled = self.inline_and_pooled(
+            monkeypatch, small_config(small_suite), manifest=manifest,
+            images=images)
+        assert pooled.rows == inline.rows == []
+        message = (f"NonFiniteImageError: {manifest.samples[5][0]}: image "
+                   f"has NaN or infinite pixels")
+        assert pooled.failures == inline.failures == [("bf", message),
+                                                      ("none", message)]
+
+    def test_clean_failure_and_warnings_as_inline(self, small_suite,
+                                                  monkeypatch):
+        # gamma overflows on a finite training image of 1e200 (one numpy
+        # warning, in its clean job), so its row fails naming that image;
+        # a constant test image is drawn once, by the one noise job
+        manifest, images, splits = self.images_and_splits(small_suite)
+        k, c = splits[0][0][0], splits[0][1][0]
+        images[k] = images[k] * 1e200
+        images[c] = np.full_like(images[c], 0.5)
+        config = small_config(small_suite, preprocessors=("bf", "gamma",
+                                                          "none"),
+                              noise=NoiseSpec(snr_levels=(5.0,), repeats=1))
+        with warnings.catch_warnings(record=True) as found:
+            warnings.simplefilter("always")
+            inline, pooled = self.inline_and_pooled(
+                monkeypatch, config, manifest=manifest, images=images)
+        assert pooled.to_csv() == inline.to_csv()
+        assert pooled.failures == inline.failures == [(
+            "gamma", f"NonFiniteImageError: {manifest.samples[k][0]}: "
+                     f"image has NaN or infinite pixels")]
+        assert [(r.preprocessor, r.snr) for r in inline.rows] == [
+            ("bf", "clean"), ("bf", "5"), ("none", "clean"), ("none", "5")]
+        assert [str(w.message) for w in found] == [
+            "overflow encountered in power",
+            "constant image: no noise added (zero signal std)"] * 2
+
+    def test_clean_programming_error_keeps_worker_traceback(
+            self, small_suite, monkeypatch):
+        def broken(img, name, config):
+            raise TypeError("broken preprocessor")
+
+        monkeypatch.setattr(harness, "apply_preprocessor", broken)
+        pools = self.force_pool(monkeypatch)
+        with pytest.raises(TypeError, match="broken preprocessor") as info:
+            run_experiment(small_config(small_suite))
+        assert pools == [[("bf",), ("none",)]]
+        assert multiprocessing.active_children() == []
+        assert "in broken" in str(info.value.__cause__)
+
+    def test_one_entry_makes_no_clean_pool(self, small_suite, monkeypatch):
+        pools = self.force_pool(monkeypatch)
+        run_experiment(small_config(small_suite, preprocessors=("bf",)))
+        assert pools == []
+        config = small_config(small_suite, preprocessors=("bf",),
+                              noise=self.NOISE)
+        run_experiment(config)
+        assert pools == self.phases(config) == [
+            [(0, 0), (0, 1), (1, 0), (1, 1)]]
+
+    def test_pooled_clean_rows_carry_timings(self, small_suite, monkeypatch):
+        config = small_config(small_suite, include_timing=True)
+        inline, pooled = self.inline_and_pooled(monkeypatch, config)
+        for row in pooled.rows:
+            assert row.extract_ms is not None and row.extract_ms >= 0
+            assert row.match_ms is not None and row.match_ms >= 0
+        untimed = lambda rows: [replace(r, extract_ms=None, match_ms=None)
+                                for r in rows]
+        assert untimed(pooled.rows) == untimed(inline.rows)
 
 
 def test_clean_run_does_not_import_multiprocessing(small_suite):
