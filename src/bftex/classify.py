@@ -110,69 +110,86 @@ def _cpu_count():
 
 
 def _chi2_blocks(queries, hists, symmetric=False):
-    """The chi2 kernel.  Reference rows go through in fixed blocks, so the
-    scratch stays bounded and is allocated once per worker.
+    """The chi2 kernel: the (m, n) distances of ``queries`` to ``hists``,
+    computed by _chi2_part.
+
+    The reference blocks run on one thread per CPU, each thread taking
+    every workers-th block of the heaviest-first deal, as each numpy call
+    releases the GIL.  A block writes only its own cells, so the result is
+    bit-identical to a serial loop.  When a worker raises, or the caller
+    is interrupted, the other workers take no further block.  A call with
+    one block, or with fewer than _POOL_CELLS cells in its whole matrix,
+    or in a process pool's worker, runs inline, with no pool.
+    """
+    n, d = hists.shape
+    dist = np.empty((len(queries), n))
+    blocks = -(-n // _block_rows(n, d))
+    workers = (min(_cpu_count(), blocks)
+               if len(queries) * n * d >= _POOL_CELLS and not _pool_worker
+               else 1)
+    if workers == 1:
+        _chi2_part(queries, hists, dist, symmetric=symmetric)
+        return dist
+    stop = threading.Event()
+
+    def work(part):
+        try:
+            _chi2_part(queries, hists, dist, part, workers, symmetric, stop)
+        except BaseException:
+            stop.set()
+            raise
+
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            list(pool.map(work, range(workers)))
+        finally:
+            stop.set()  # leaving the pool waits for its workers
+    return dist
+
+
+def _block_rows(n, d):
+    """Reference rows in one block of the chi2 kernel."""
+    return min(n, max(1, _BLOCK_CELLS // max(d, 1)))
+
+
+def _chi2_part(queries, hists, dist, part=0, parts=1, symmetric=False,
+               stop=None):
+    """The chi2 kernel's block loop: write into ``dist`` the distances of
+    every query to the reference blocks ``part::parts`` of the deal.
+    Reference rows go through in fixed blocks, so the scratch stays
+    bounded and is allocated once per call.
 
     With non-negative bins, h + q = 0 only where h = q = 0; that term is
     0/0 = NaN, and fmax turns it into 0.  With ``symmetric`` (queries are
     the references), a block is compared only with the queries up to its
-    end, and its columns are then mirrored into its rows.
-
-    The blocks run on one thread per CPU, dealt out heaviest first (a
-    triangle block costs in proportion to its end row), as each numpy call
-    releases the GIL.  A block writes only its own columns and their
-    mirror, cells no other block touches, so the result is bit-identical
-    to a serial loop.  When a worker raises, or the caller is interrupted,
-    the other workers take no further block.  A call with one block, or
-    with fewer than _POOL_CELLS cells in its whole matrix, or in a process
-    pool's worker, runs inline, with no pool.
+    end, and its columns are then mirrored into its rows: cells that no
+    other block writes.  The blocks are then dealt heaviest first, as a
+    triangle block costs in proportion to its end row.  The loop ends
+    early once ``stop`` is set.
     """
     n, d = hists.shape
-    block = min(n, max(1, _BLOCK_CELLS // max(d, 1)))
-    dist = np.empty((len(queries), n))
+    block = _block_rows(n, d)
     starts = range(0, n, block)
     if symmetric:
         starts = starts[::-1]
-    stop = threading.Event()
-
-    def work(todo):
-        den, terms = np.empty((block, d)), np.empty((block, d))
-        # errstate is per thread, so each worker enters its own
-        with np.errstate(invalid="ignore"):
-            try:
-                for j0 in todo:
-                    if stop.is_set():
-                        return
-                    j1 = min(n, j0 + block)
-                    h = hists[j0:j1]
-                    bden, bterms = den[:j1 - j0], terms[:j1 - j0]
-                    for i, q in enumerate(queries[:j1] if symmetric
-                                          else queries):
-                        np.add(h, q, out=bden)
-                        np.subtract(h, q, out=bterms)
-                        np.square(bterms, out=bterms)
-                        np.divide(bterms, bden, out=bterms)
-                        np.fmax(bterms, 0.0, out=bterms)
-                        bterms.sum(axis=1, out=dist[i, j0:j1])
-                    if symmetric:
-                        dist[j0:j1, :j0] = dist[:j0, j0:j1].T
-            except BaseException:
-                stop.set()
-                raise
-
-    workers = (min(_cpu_count(), len(starts))
-               if len(queries) * n * d >= _POOL_CELLS and not _pool_worker
-               else 1)
-    if workers == 1:
-        work(starts)
-        return dist
-    with ThreadPoolExecutor(workers) as pool:
-        try:
-            list(pool.map(work, [starts[k::workers]
-                                 for k in range(workers)]))
-        finally:
-            stop.set()  # leaving the pool waits for its workers
-    return dist
+    den, terms = np.empty((block, d)), np.empty((block, d))
+    # errstate is per thread, so each worker enters its own
+    with np.errstate(invalid="ignore"):
+        for j0 in starts[part::parts]:
+            if stop is not None and stop.is_set():
+                return
+            j1 = min(n, j0 + block)
+            h = hists[j0:j1]
+            bden, bterms = den[:j1 - j0], terms[:j1 - j0]
+            for i, q in enumerate(queries[:j1] if symmetric else queries):
+                np.add(h, q, out=bden)
+                np.subtract(h, q, out=bterms)
+                np.square(bterms, out=bterms)
+                np.divide(bterms, bden, out=bterms)
+                np.fmax(bterms, 0.0, out=bterms)
+                bterms.sum(axis=1, out=dist[i, j0:j1])
+            if symmetric:
+                dist[j0:j1, :j0] = dist[:j0, j0:j1].T
 
 
 def chi2_all(query, refs):

@@ -57,6 +57,9 @@ def cmd_filter(args):
 
 
 def cmd_extract(args):
+    # classify refuses a negative label, so no row may carry one
+    if args.label < 0:
+        raise ValueError(f"--label must be >= 0, got {args.label}")
     config = harness.ExperimentConfig(
         manifest_path=None, preprocessors=(args.preproc,),
         descriptor=descriptors.DescriptorConfig(
@@ -77,7 +80,8 @@ def cmd_extract(args):
 
 def _read_feature_csv(path):
     """(ids, labels, features) of a feature CSV; a malformed row raises a
-    ValueError naming its file and line."""
+    ValueError naming its file and line, and a file without rows one
+    naming the file."""
     ids, labels, feats = [], [], []
     with open(path, newline="") as f:
         for lineno, row in enumerate(csv.reader(f), start=1):
@@ -99,6 +103,8 @@ def _read_feature_csv(path):
             except ValueError as exc:
                 raise ValueError(f"{where}: non-numeric bin ({exc})") from None
             ids.append(row[0])
+    if not feats:
+        raise ValueError(f"{path}: no feature rows")
     return ids, np.asarray(labels), np.asarray(feats)
 
 

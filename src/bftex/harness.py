@@ -12,6 +12,7 @@ import csv
 import io
 import itertools
 import math
+import mmap
 import os
 import re
 import signal
@@ -343,6 +344,26 @@ def _blocks(images, spec):
         start = stop
 
 
+def _chunks(images, spec, parts):
+    """(start, stop) ranges of consecutive images that cut ``images`` at
+    the block boundaries of _blocks into at most ``parts`` runs of about
+    equal pixel counts, so that each run's blocks are the suite's own."""
+    before = np.cumsum([0] + [np.size(img) for img in images])
+    runs = {}
+    for lo, hi in _blocks(images, spec):
+        part = parts * int(before[lo]) // max(int(before[-1]), 1)
+        runs.setdefault(part, [lo, hi])[1] = hi
+    return [tuple(run) for run in runs.values()]
+
+
+def _shared_array(shape):
+    """A zeroed float64 array in anonymous shared memory: what a forked
+    worker writes into it, this process reads.  It is unmapped when its
+    last reference goes."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)),
+                         dtype=np.float64).reshape(shape)
+
+
 def _read_suite(manifest):
     """Each manifest image's samples at its file's precision, and one
     float64 maxval per image (see image._read_pixels)."""
@@ -352,10 +373,11 @@ def _read_suite(manifest):
 
 
 def _extract_features(pixels, maxvals, paths, ids, entries, config,
-                      noise=None):
+                      noise=None, out=None):
     """(features, failures): the histograms of the images
     ``pixels[j] / maxvals[j]`` for j in ``ids`` by each entry that did not
-    fail, and the message of each entry that did.
+    fail, and the message of each entry that did.  An entry's rows are
+    written into ``out[entry]`` where that is given, else into a new array.
 
     Each block (see _blocks) is made float64 once and read by every entry
     still running; with ``noise`` as (snr, rng), add_gaussian_noise is
@@ -365,7 +387,7 @@ def _extract_features(pixels, maxvals, paths, ids, entries, config,
     this runs, so no file error can arise here.  An image with a NaN or
     infinite pixel is named by its path.
     """
-    feats, failed = {}, {}
+    feats, failed = dict(out or {}), {}
     for lo, hi in _blocks([pixels[j] for j in ids], config.descriptor.spec):
         live = [entry for entry in entries if entry not in failed]
         if not live:
@@ -399,19 +421,27 @@ def _extract_features(pixels, maxvals, paths, ids, entries, config,
             failed)
 
 
-def _run_splits(feats, labels, splits):
+def _triangle_pays(n, splits):
+    """Whether _run_splits reads its splits from one chi2 triangle over
+    all n samples."""
+    return n ** 2 / 2 < sum(len(tr) * len(te) for tr, te in splits)
+
+
+def _run_splits(feats, labels, splits, dist=None):
     """Accuracy per split; features and split indices are by sample id.
 
     When half the square over all samples (N^2 / 2) is smaller than the
     splits' rectangles together (sum of test x train), as with many random
     splits, every sample is compared with every other once and each split
-    reads its own cells of that matrix (8 N^2 bytes).  Otherwise, as with
-    one split or few-shot splits, each split compares its test side with
-    its training side.  Training columns keep their sorted order, so ties
-    still go to the lowest training index.
+    reads its own cells of that matrix (8 N^2 bytes), which ``dist`` gives
+    when it was computed elsewhere.  Otherwise, as with one split or
+    few-shot splits, each split compares its test side with its training
+    side.  Training columns keep their sorted order, so ties still go to
+    the lowest training index.
     """
-    if len(feats) ** 2 / 2 < sum(len(tr) * len(te) for tr, te in splits):
-        dist = _chi2_triangle(ReferenceSet(feats, labels))
+    if _triangle_pays(len(feats), splits):
+        if dist is None:
+            dist = _chi2_triangle(ReferenceSet(feats, labels))
         split_dist = lambda train, test: dist[np.ix_(test, train)]
     else:
         split_dist = lambda train, test: chi2_matrix(
@@ -438,9 +468,14 @@ def _run_splits(feats, labels, splits):
 # P=16 ran faster on the pool from 1.05 million (bf and dog 276 -> 190
 # ms, bf and none 234 -> 171 ms), but LBP P=8 on bf and none ran slower
 # at 2.1 and 4.2 million, faster in at most 2 runs of 10 in each of three
-# sessions (126-161 -> 144-199 ms at 2.1).  Its jobs are uneven (bf 465
-# ms, none 167 ms inline at 8.4 million), and on the pool each ran slower
-# than inline.
+# sessions (126-161 -> 144-199 ms at 2.1), with one job per entry.  With
+# the clean rows split by image chunk and triangle part, measured again
+# (random 10-image splits, 10 of them, 10 alternating runs): LBP P=8 on bf
+# and none ran 100 ms inline and 132 ms pooled at 2.1 million (pooled
+# faster in 0 of 10), 209 and 146 ms at 4.2 million (10 of 10).  The jobs
+# are even now, but each half of the bf extraction took 65-75 ms in a
+# worker against 60 ms for the whole suite inline, and the triangle round
+# adds a second pool for a triangle of one block at 20 bins (about 20 ms).
 _POOL_PIXELS = 1 << 21
 # The phase's job (a clean row or a noise (level, repeat)), set only in the
 # pool's worker processes (_start_worker).
@@ -473,6 +508,19 @@ def _rewarn(result, found):
     return result
 
 
+def _pool_workers(n_jobs, work):
+    """The worker processes _job_results runs a phase of ``n_jobs`` jobs
+    on, or 0 where it runs them inline."""
+    workers = min(classify._cpu_count(), n_jobs)
+    if (workers > 1 and work >= _POOL_PIXELS
+            and threading.active_count() == 1):
+        import multiprocessing
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            return workers
+    return 0
+
+
 def _job_results(job, jobs, work):
     """The list of job(*args) for each args in ``jobs``, in order.
 
@@ -480,41 +528,39 @@ def _job_results(job, jobs, work):
     than one CPU and job, ``work`` is at least _POOL_PIXELS, and this
     process can fork children and runs no other Python thread (a child
     could inherit that thread's locks held).  The workers inherit
-    whatever ``job`` reads, so only its arguments go out, and only its
-    result and the warnings it recorded come back; spawned workers would
-    instead import bftex afresh and be sent the suite.  Once fork() has
-    begun no other thread runs either: the chi2 kernel joins its threads
-    before it returns, the OpenBLAS of the numpy and scipy wheels stops
-    its threads in a fork handler, and the pool starts every worker
-    before its manager thread.  A thread that has been joined can still
-    be exiting, so the pool's own threads are waited for until the kernel
-    drops them (from /proc/self/task, where there is one): the next phase
-    forks its pool right after.  A worker's chi2 kernel runs inline, as
-    the other workers hold the other CPUs.  On an error or an interrupt,
-    the pending jobs are cancelled and every worker is joined before the
+    whatever ``job`` reads, shared memory included, so only its arguments
+    go out, and only its result (a few numbers, no array) and the
+    warnings it recorded come back; spawned workers would instead import
+    bftex afresh and be sent the suite.  Once fork() has begun no other
+    thread runs either: the chi2 kernel joins its threads before it
+    returns, the OpenBLAS of the numpy and scipy wheels stops its threads
+    in a fork handler, and the pool starts every worker before its
+    manager thread.  A thread that has been joined can still be exiting,
+    so the pool's own threads are waited for until the kernel drops them
+    (from /proc/self/task, where there is one): the next phase forks its
+    pool right after.  A worker's chi2 kernel runs inline, as the other
+    workers hold the other CPUs.  On an error or an interrupt, the
+    pending jobs are cancelled and every worker is joined before the
     error goes on; a worker's error keeps its traceback.  Otherwise the
     jobs run inline, one after another.
     """
-    workers = min(classify._cpu_count(), len(jobs))
-    if (workers > 1 and work >= _POOL_PIXELS
-            and threading.active_count() == 1):
+    workers = _pool_workers(len(jobs), work)
+    if workers:
         import multiprocessing
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and not multiprocessing.current_process().daemon):
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_start_worker, initargs=(job,))
-            try:
-                futures = [pool.submit(_run_forked, *args) for args in jobs]
-                return [_rewarn(*future.result()) for future in futures]
-            finally:
-                helpers = [thread.native_id for thread in threading.enumerate()
-                           if thread is not threading.current_thread()]
-                pool.shutdown(wait=True, cancel_futures=True)
-                while any(os.path.exists(f"/proc/self/task/{tid}")
-                          for tid in helpers):
-                    time.sleep(1e-4)
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(job,))
+        try:
+            futures = [pool.submit(_run_forked, *args) for args in jobs]
+            return [_rewarn(*future.result()) for future in futures]
+        finally:
+            helpers = [thread.native_id for thread in threading.enumerate()
+                       if thread is not threading.current_thread()]
+            pool.shutdown(wait=True, cancel_futures=True)
+            while any(os.path.exists(f"/proc/self/task/{tid}")
+                      for tid in helpers):
+                time.sleep(1e-4)
     return [job(*args) for args in jobs]
 
 
@@ -527,23 +573,38 @@ def run_experiment(config, manifest=None, images=None):
     Clean accuracy is always reported; when a noise spec is present, one
     row per SNR level follows.  Noise is applied to test images only
     unless corrupt_train is set, and only the corrupted images are
-    extracted again.  Each preprocessor's clean row is one job, which
-    extracts the whole suite for it and runs every split.  Each noise
-    (level, repeat) pair is one job: one pass over its corrupted images a
-    block at a time, with the noise drawn into the block and shared by
-    every preprocessor (see _extract_features).  Each phase runs its jobs
-    on every CPU when it is large enough (see _job_results); the noise
-    phase forks its workers after the clean rows, so they inherit the
-    clean features.  A job reads no other job's result, so the report and
-    warnings are the same either way: every noise job runs every
-    preprocessor that finished its clean row.
+    extracted again.
+
+    The clean rows split each entry's work across the CPUs.  When they
+    run on the pool (see _job_results), every entry's (N, bins) features
+    and, where the splits read one chi2 triangle, its (N, N) distances
+    live in anonymous shared memory, allocated before the pool forks.
+    The first round runs one job per (entry, chunk of the suite's
+    blocks, one chunk per CPU; see _chunks), which writes its rows of
+    the features; the second one job per (entry, k) for k < CPUs, which
+    writes the triangle's reference blocks k::CPUs and their mirrors
+    (the chi2 kernel's own deal, classify._chi2_part).  A job sends back
+    only its failure and its seconds.  This process then scores every
+    split of an entry from its triangle and unmaps it before the next.
+    Inline, one entry at a time is extracted in one chunk and matched
+    with the chi2 kernel's threads, its features freed after its row.
+    An entry's failure is that of its first failing chunk in image
+    order: the chunks cut the suite at its blocks, so that is the
+    failure of a one-CPU run.  Each noise (level, repeat) pair is one
+    job: one pass over its corrupted images a block at a time, with the
+    noise drawn into the block and shared by every preprocessor (see
+    _extract_features).  The noise phase forks its workers after the
+    clean rows, so they inherit the clean features.  A job reads no
+    other job's result, so the report is the same inline or pooled:
+    every noise job runs every preprocessor that finished its clean row.
     A preprocessor that fails on bad input (a ValueError) while its
     images are drawn, preprocessed or described keeps the rows of the
     levels before its first failure and is recorded as a failure under
     its label, and the others still run; any other error propagates.
     Every image is read before the first row, so a file that cannot be
     read (an OSError) fails the whole run.  Clean rows carry timings
-    only when config.include_timing is set.
+    only when config.include_timing is set: the seconds of an entry's
+    jobs and of its scoring, summed, per image and per query.
     """
     if manifest is None:
         manifest = load_manifest(config.manifest_path, suite=config.suite)
@@ -567,36 +628,69 @@ def run_experiment(config, manifest=None, images=None):
             mean_accuracy=float(np.mean(accs)), std_accuracy=std,
             feature_size=fsize, extract_ms=extract_ms, match_ms=match_ms)
 
-    def clean_job(name):
-        """The clean row of one entry (None if it failed), its features
-        when noise rows follow, and its failures."""
-        t0 = time.perf_counter()
-        clean, clean_failed = _extract_features(
-            pixels, maxvals, paths, range(len(pixels)), (name,), config)
-        hists = clean.pop(name, None)
-        if hists is None:  # failed; the other preprocessors still run
-            return None, None, clean_failed
-        t1 = time.perf_counter()
-        accs = _run_splits(hists, labels, splits)
-        timing = ()
-        if config.include_timing:  # mean ms per image and per query
-            timing = ((t1 - t0) * 1000.0 / len(pixels),
-                      (time.perf_counter() - t1) * 1000.0
-                      / sum(len(test) for _, test in splits))
-        return (row(name, "clean", accs, hists.shape[1], *timing),
-                hists if config.noise else None, clean_failed)
-
     # by preprocessor entry; the noise jobs run level, repeat, block so that
     # each repeat's noise is drawn once, yet rows list preprocessor first
-    names = config.preprocessors
-    feats, rows, failed = {}, {}, {}
+    names, n = config.preprocessors, len(pixels)
     work = len(names) * sum(np.size(img) for img in pixels)
-    for name, (clean_row, hists, clean_failed) in zip(names, _job_results(
-            clean_job, [(name,) for name in names], work)):
-        failed.update(clean_failed)
-        rows[name] = [clean_row] if clean_row else []
-        if hists is not None:  # kept for the noise rows only
-            feats[name] = hists
+    cpus = classify._cpu_count()
+    chunks = _chunks(pixels, desc.spec, cpus)
+    pooled = _pool_workers(len(names) * len(chunks), work) > 0
+    if not pooled:  # one entry at a time in one chunk, as on one CPU
+        chunks = [(0, n)]
+    feats, dists, rows, failed = {}, {}, {name: [] for name in names}, {}
+    extract_s, match_s = dict.fromkeys(names, 0.0), dict.fromkeys(names, 0.0)
+
+    def extract(name, lo, hi):
+        """Write the entry's feature rows lo:hi; returns its failure (None
+        if it did not fail) and the seconds taken."""
+        t0 = time.perf_counter()
+        _, chunk_failed = _extract_features(
+            pixels, maxvals, paths, range(lo, hi), (name,), config,
+            out={name: feats[name][lo:hi]})
+        return chunk_failed.get(name), time.perf_counter() - t0
+
+    def slab(name, part):
+        """Write the part-th share of the entry's chi2 triangle; returns
+        the seconds taken."""
+        t0 = time.perf_counter()
+        hists = ReferenceSet(feats[name], labels).histograms
+        classify._chi2_part(hists, hists, dists[name], part, cpus,
+                            symmetric=True)
+        return time.perf_counter() - t0
+
+    for group in [names] if pooled else [(name,) for name in names]:
+        for name in group:
+            feats[name] = _shared_array((n, descriptors.feature_size(
+                desc, on_maps=isinstance(name, BfParams) or name == "bf")))
+        jobs = [(name, lo, hi) for name in group for lo, hi in chunks]
+        for (name, _, _), (msg, took) in zip(
+                jobs, _job_results(extract, jobs, work)):
+            extract_s[name] += took
+            if msg is not None:  # the first failing chunk in image order
+                failed.setdefault(name, msg)
+        for name in group:
+            if name in failed:  # the other preprocessors still run
+                del feats[name]
+        live = [name for name in group if name in feats]
+        if pooled and _triangle_pays(n, splits):
+            jobs = [(name, part) for name in live for part in range(cpus)]
+            dists.update((name, _shared_array((n, n))) for name in live)
+            for (name, _), took in zip(jobs, _job_results(slab, jobs, work)):
+                match_s[name] += took
+        for name in live:
+            t0 = time.perf_counter()
+            accs = _run_splits(feats[name], labels, splits,
+                               dists.pop(name, None))
+            match_s[name] += time.perf_counter() - t0
+            timing = ()
+            if config.include_timing:  # mean ms per image and per query
+                timing = (extract_s[name] * 1000.0 / n,
+                          match_s[name] * 1000.0
+                          / sum(len(test) for _, test in splits))
+            rows[name].append(row(name, "clean", accs, feats[name].shape[1],
+                                  *timing))
+            if not config.noise:  # kept for the noise rows only
+                del feats[name]
     levels = config.noise.snr_levels if config.noise else ()
     jobs = [(li, rep) for li in range(len(levels))
             for rep in range(config.noise.repeats)]

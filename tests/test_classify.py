@@ -270,6 +270,31 @@ class TestChi2Pool:
         assert classify._cpu_count() == want >= 1
 
 
+class TestChi2Parts:
+    """The chi2 kernel's block loop as forked workers run it: each worker
+    writes its share of the deal into one shared array."""
+
+    @FAST
+    @given(parts=st.integers(1, 4), rows=st.integers(1, 4),
+           d=st.sampled_from([1, 7, 64]), data=st.data())
+    def test_parts_in_any_order_give_the_triangle(self, parts, rows, d,
+                                                  data):
+        n = data.draw(st.integers(1, 6 * rows + 1), label="n")
+        order = data.draw(st.permutations(range(parts)), label="order")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        hists = rng.random((n, d)) * 10.0 ** rng.integers(-6, 3, size=(n, 1))
+        hists[rng.random((n, d)) < 0.5] = 0.0
+        hists[rng.integers(n)] = hists[0]  # a duplicate row
+        refs = ReferenceSet(hists, np.zeros(n, int))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify, "_BLOCK_CELLS", rows * d)
+            dist = np.full((n, n), np.nan)  # every cell must be written
+            for part in order:
+                classify._chi2_part(hists, hists, dist, part, parts,
+                                    symmetric=True)
+            assert np.array_equal(dist, classify._chi2_triangle(refs))
+
+
 class TestNnClassify:
     def test_exact_match(self, rng):
         hists = rng.random((5, 6))

@@ -166,6 +166,30 @@ class TestExtractClassify:
         assert captured.out == ""
         assert "at least one bin" in captured.err
 
+    @pytest.mark.parametrize("side", ["--refs", "--queries"])
+    def test_file_without_rows_is_usage_error(self, tmp_path, capsys, side):
+        feats, empty = tmp_path / "f.csv", tmp_path / "empty.csv"
+        feats.write_text("a,0,0.5,0.5\nb,1,0.25,0.75\n")
+        empty.write_text("\n")  # blank lines are no rows
+        given = {"--refs": feats, "--queries": feats, side: empty}
+        assert run_cli(["classify", "--refs", str(given["--refs"]),
+                        "--queries", str(given["--queries"])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {empty}: no feature rows" in captured.err
+
+    def test_negative_label_is_usage_error(self, tmp_path, sample_image,
+                                           capsys):
+        # classify would refuse the row it wrote
+        out = tmp_path / "f.csv"
+        assert run_cli(["extract", "--input", str(sample_image), "--label",
+                        "-1", "--out", str(out)]) == 2
+        assert "error: --label must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli(["extract", "--input", str(sample_image), "--label",
+                        "0", "--out", str(out)]) == 0
+        assert out.read_text().split(",")[1] == "0"
+
     def test_short_row_is_usage_error(self, tmp_path, capsys):
         refs = tmp_path / "refs.csv"
         refs.write_text("a,0,0.5,0.5\n\nb\n")

@@ -676,6 +676,31 @@ class TestBlockExtraction:
                                     config.descriptor) for img in subset])
             assert np.array_equal(feats, want)
 
+    def test_chunks_cut_the_suite_at_its_blocks(self, monkeypatch):
+        # a chunk job's blocks are the suite's own, so each image is
+        # extracted in the block it is in on one CPU
+        spec = NeighborhoodSpec(8, 1.0)
+        shapes = [(14, 13)] * 7 + [(11, 16)] * 2 + [(14, 13)] * 5
+        images = [np.zeros(shape) for shape in shapes]
+        m = spec.margin
+        monkeypatch.setattr(harness, "_BLOCK_CELLS",
+                            3 * spec.p * (14 - 2 * m) * (13 - 2 * m))
+        blocks = list(harness._blocks(images, spec))
+        assert len(blocks) == 6
+        for parts in range(1, 8):
+            chunks = harness._chunks(images, spec, parts)
+            assert 1 <= len(chunks) <= parts
+            assert [lo for lo, _ in chunks[1:]] == [hi for _, hi in chunks[:-1]]
+            assert chunks[0][0] == 0 and chunks[-1][1] == len(images)
+            for lo, hi in chunks:
+                assert [(lo + a, lo + b) for a, b in
+                        harness._blocks(images[lo:hi], spec)] == \
+                    [blk for blk in blocks if lo <= blk[0] < hi]
+        # equal blocks are dealt out evenly
+        assert harness._chunks(images[:6], spec, 2) == [(0, 3), (3, 6)]
+        assert harness._chunks(images[:6], spec, 3) == [(0, 3), (3, 6)]
+        assert harness._chunks(images[:1], spec, 2) == [(0, 1)]
+
     def test_failure_row_names_the_bad_image(self, small_suite):
         manifest = load_manifest(small_suite)
         images = [load_image(p) for p, _ in manifest.samples]
@@ -835,6 +860,8 @@ class TestNoiseJobPool:
     through the jobs it was sent."""
 
     NOISE = NoiseSpec(snr_levels=(10.0, 3.0), repeats=2, seed=6)
+    # 4 splits of 12 x 12 images over 24: the splits read one triangle
+    TRIANGLE = SplitPolicy(mode="random", n_train=3, repeats=4, seed=9)
 
     @staticmethod
     def force_pool(patch):
@@ -859,14 +886,26 @@ class TestNoiseJobPool:
         return pools
 
     @staticmethod
-    def phases(config):
+    def phases(config, failed=()):
         """What force_pool records for a run of ``config``: the jobs of
-        each phase that has two or more, one entry each for the clean
-        rows, then the (level, repeat) pairs of the noise rows."""
-        clean = [(name,) for name in config.preprocessors]
+        each phase that has two or more.  The clean rows take two rounds:
+        one job per (entry, half of the suite's blocks), then, where the
+        splits read one chi2 triangle, one per (entry that did not fail in
+        the first round, half of its triangle).  The (level, repeat) pairs
+        of the noise rows follow."""
+        manifest = load_manifest(config.manifest_path)
+        images = [load_image(p) for p, _ in manifest.samples]
+        chunks = harness._chunks(images, config.descriptor.spec, 2)
+        extract = [(name, lo, hi) for name in config.preprocessors
+                   for lo, hi in chunks]
+        slabs = [(name, part) for name in config.preprocessors
+                 if name not in failed for part in range(2)]
+        if not harness._triangle_pays(len(images),
+                                      make_splits(manifest, config.split)):
+            slabs = []
         noise = [(li, rep) for li in range(len(config.noise.snr_levels))
                  for rep in range(config.noise.repeats)] if config.noise else []
-        return [jobs for jobs in (clean, noise) if len(jobs) > 1]
+        return [jobs for jobs in (extract, slabs, noise) if len(jobs) > 1]
 
     def inline_and_pooled(self, monkeypatch, config, **kw):
         """(report inline, report on the pools) of one run."""
@@ -938,8 +977,9 @@ class TestNoiseJobPool:
 
         def recorded(step):
             def job_results(job, jobs, work):
-                results.append(real(job, jobs[::step], work)[::step])
-                return results[-1]
+                results.append((job.__name__,
+                                real(job, jobs[::step], work)[::step]))
+                return results[-1][1]
             return job_results
 
         monkeypatch.setattr(harness, "_job_results", recorded(1))
@@ -949,12 +989,15 @@ class TestNoiseJobPool:
         assert backward.to_csv() == forward.to_csv()
         assert backward.failures == forward.failures == [
             ("dog", "ValueError: noisy copy refused")]
-        # clean then noise jobs, forward then backward
-        clean, noise, clean_back, noise_back = results
-        for (row, feats, failed), (row_back, feats_back, failed_back) in \
-                zip(clean, clean_back, strict=True):
-            assert row_back == row and failed_back == failed == {}
-            assert np.array_equal(feats_back, feats)
+        # inline, each entry's clean rows, then the noise jobs; forward
+        # then backward.  A clean job returns its failure and its seconds.
+        phases = [name for name, _ in results]
+        assert phases == ["extract", "extract", "job"] * 2
+        (_, dog), (_, bf), (_, noise), (_, dog_back), (_, bf_back), \
+            (_, noise_back) = results
+        for clean, clean_back in ((dog, dog_back), (bf, bf_back)):
+            assert [msg for msg, _ in clean_back] == \
+                [msg for msg, _ in clean] == [None]
         assert noise_back == noise
         # the dog entry runs after its first failure, at level 1 repeat 0
         assert [sorted(accs) for accs, _ in noise] == \
@@ -969,9 +1012,10 @@ class TestNoiseJobPool:
         assert splits[0][1][:4] != splits[1][1][:4]
         real = harness._extract_features
 
-        def failing(pixels, maxvals, paths, ids, entries, config, noise=None):
+        def failing(pixels, maxvals, paths, ids, entries, config, noise=None,
+                    out=None):
             feats, failed = real(pixels, maxvals, paths, ids, entries, config,
-                                 noise)
+                                 noise, out)
             if noise and noise[0] == 10.0 and "dog" in feats:
                 del feats["dog"]
                 failed["dog"] = f"refused on images {ids[:4]}"
@@ -1084,10 +1128,13 @@ class TestNoiseJobPool:
         np.ones((256, 256)) @ np.ones((256, 256))
         pools = self.force_pool(monkeypatch)
         monkeypatch.setattr(os, "fork", fork)
-        config = small_config(small_suite, noise=self.NOISE)
+        config = small_config(small_suite, split=self.TRIANGLE,
+                              noise=self.NOISE)
         run_experiment(config)
-        # two workers for the clean rows, then two for the noise rows
-        assert pools == self.phases(config) and counts == [1, 1, 1, 1]
+        # two workers for each round of the clean rows, then two for the
+        # noise rows
+        assert len(self.phases(config)) == 3
+        assert pools == self.phases(config) and counts == [1] * 6
 
     def test_other_python_thread_runs_inline(self, small_suite, monkeypatch):
         # a worker could inherit that thread's locks held
@@ -1131,7 +1178,8 @@ class TestNoiseJobPool:
             small_suite, noise=NoiseSpec(snr_levels=(5.0,), repeats=repeats))
         run_experiment(config)
         # on 2 CPUs the clean rows of the 2 entries still use a pool
-        assert pools == ([] if cpus == 1 else [[("bf",), ("none",)]])
+        assert pools == ([] if cpus == 1 else [[
+            ("bf", 0, 16), ("bf", 16, 24), ("none", 0, 16), ("none", 16, 24)]])
 
     def test_daemonic_process_runs_inline(self, small_suite, monkeypatch):
         # a daemonic process may not have children, so it makes no pool
@@ -1216,19 +1264,125 @@ class TestNoiseJobPool:
         pools = self.force_pool(monkeypatch)
         with pytest.raises(TypeError, match="broken preprocessor") as info:
             run_experiment(small_config(small_suite))
-        assert pools == [[("bf",), ("none",)]]
+        assert pools == [[("bf", 0, 16), ("bf", 16, 24), ("none", 0, 16),
+                          ("none", 16, 24)]]
         assert multiprocessing.active_children() == []
         assert "in broken" in str(info.value.__cause__)
 
-    def test_one_entry_makes_no_clean_pool(self, small_suite, monkeypatch):
+    def test_one_entry_pools_its_clean_rows(self, small_suite, monkeypatch):
+        # the clean rows are split by image and by triangle part, so one
+        # entry above the switch runs on every CPU too
         pools = self.force_pool(monkeypatch)
-        run_experiment(small_config(small_suite, preprocessors=("bf",)))
-        assert pools == []
+        run_experiment(small_config(small_suite, preprocessors=("bf",),
+                                    split=self.TRIANGLE))
+        assert pools == [[("bf", 0, 16), ("bf", 16, 24)],
+                         [("bf", 0), ("bf", 1)]]
+        pools.clear()
         config = small_config(small_suite, preprocessors=("bf",),
                               noise=self.NOISE)
         run_experiment(config)
         assert pools == self.phases(config) == [
-            [(0, 0), (0, 1), (1, 0), (1, 1)]]
+            [("bf", 0, 16), ("bf", 16, 24)], [(0, 0), (0, 1), (1, 0), (1, 1)]]
+
+    @pytest.mark.parametrize("entries", [
+        ("bf",), ("bf", "dog", "none", BfParams(0.5, 3.0, 0.05))])
+    def test_clean_report_pooled_inline_and_on_one_cpu(
+            self, small_suite, monkeypatch, entries):
+        config = small_config(small_suite, preprocessors=entries,
+                              split=self.TRIANGLE)
+        inline, pooled = self.inline_and_pooled(monkeypatch, config)
+        with monkeypatch.context() as patch:
+            pools = self.force_pool(patch)
+            patch.setattr(classify, "_cpu_count", lambda: 1)
+            one_cpu = run_experiment(config)
+        assert pools == []
+        assert pooled.to_csv() == inline.to_csv() == one_cpu.to_csv()
+        assert pooled.failures == inline.failures == one_cpu.failures == []
+        assert len(inline.rows) == len(entries)
+
+    def test_clean_round_results_hold_no_array(self, small_suite,
+                                               monkeypatch):
+        # features and triangles stay in shared memory: a clean job sends
+        # back its failure and its seconds, a noise job its accuracies
+        real, results = harness._job_results, []
+
+        def recorded(job, jobs, work):
+            results.append(real(job, jobs, work))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "_job_results", recorded)
+        pools = self.force_pool(monkeypatch)
+        config = small_config(small_suite, split=self.TRIANGLE,
+                              noise=self.NOISE)
+        run_experiment(config)
+        assert pools == self.phases(config) and len(results) == 3
+        extracted, slabs, _ = results
+        assert len(extracted) == 4 and len(slabs) == 4
+        for failure, seconds in extracted:
+            assert failure is None and type(seconds) is float
+        assert all(type(seconds) is float for seconds in slabs)
+
+    def test_entry_failing_in_two_chunks_names_its_first(
+            self, small_suite, monkeypatch):
+        # a bad image in each half of the blocks: each chunk job fails on
+        # its own, and the row records the first, as one CPU does
+        manifest, images, _ = self.images_and_splits(small_suite)
+        for k in (5, 20):
+            images[k] = images[k].copy()
+            images[k][3, 4] = np.nan
+        real, results = harness._job_results, []
+
+        def recorded(job, jobs, work):
+            results.append(real(job, jobs, work))
+            return results[-1]
+
+        config = small_config(small_suite, split=self.TRIANGLE)
+        run = lambda: run_experiment(config, manifest=manifest, images=images)
+        inline = run()
+        with monkeypatch.context() as patch:
+            pools = self.force_pool(patch)
+            patch.setattr(harness, "_job_results", recorded)
+            pooled = run()
+            patch.setattr(classify, "_cpu_count", lambda: 1)
+            one_cpu = run()
+        assert pools == self.phases(config, failed=config.preprocessors)
+        message = lambda k: (f"NonFiniteImageError: {manifest.samples[k][0]}: "
+                             f"image has NaN or infinite pixels")
+        assert [msg for msg, _ in results[0]] == [message(5), message(20)] * 2
+        assert pooled.rows == inline.rows == one_cpu.rows == []
+        assert pooled.failures == inline.failures == one_cpu.failures == [
+            ("bf", message(5)), ("none", message(5))]
+
+    @pytest.mark.parametrize("other_thread", [False, True])
+    def test_inline_triangle_uses_the_kernel_threads(
+            self, small_suite, monkeypatch, other_thread):
+        # below the switch, or beside another Python thread, each entry's
+        # triangle is one chi2 call on one thread per CPU
+        pools, threads, real = [], [], classify.ThreadPoolExecutor
+
+        def counted(workers):
+            threads.append(workers)
+            return real(workers)
+
+        monkeypatch.setattr(classify, "ThreadPoolExecutor", counted)
+        monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(classify, "_BLOCK_CELLS", 1)
+        monkeypatch.setattr(classify, "_POOL_CELLS", 0)
+        if other_thread:
+            pools = self.force_pool(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        if other_thread:
+            other.start()
+        try:
+            report = run_experiment(small_config(small_suite,
+                                                 split=self.TRIANGLE))
+        finally:
+            release.set()
+        if other_thread:
+            other.join(timeout=10)
+        assert pools == [] and threads == [2, 2]
+        assert [r.preprocessor for r in report.rows] == ["bf", "none"]
 
     def test_pooled_clean_rows_carry_timings(self, small_suite, monkeypatch):
         config = small_config(small_suite, include_timing=True)
