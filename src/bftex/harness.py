@@ -8,6 +8,7 @@ noise level as CSV.  All randomness flows through seeded counter-based
 generators so reports are byte-reproducible.
 """
 
+import contextlib
 import csv
 import io
 import itertools
@@ -282,10 +283,17 @@ PREPROCESSORS = {
 
 def apply_preprocessor(img, name, config):
     """Run PREPROCESSORS[name], or bf at a BfParams entry's parameters, on
-    an image or a stack of them; bf yields an ON/OFF map pair."""
+    an image or a stack of them; an entry of _yields_pair gives an ON/OFF
+    map pair."""
     if isinstance(name, BfParams):
         return bf_preprocess(img, name)
     return PREPROCESSORS[name](img, config)
+
+
+def _yields_pair(entry):
+    """Whether apply_preprocessor gives the entry's images as ON/OFF map
+    pairs (twice the histogram bins), as bf does at any parameters."""
+    return isinstance(entry, BfParams) or entry == "bf"
 
 
 @dataclass
@@ -356,12 +364,11 @@ def _chunks(images, spec, parts):
     return [tuple(run) for run in runs.values()]
 
 
-def _shared_array(shape):
-    """A zeroed float64 array in anonymous shared memory: what a forked
-    worker writes into it, this process reads.  It is unmapped when its
-    last reference goes."""
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)),
-                         dtype=np.float64).reshape(shape)
+def _shared_array(size):
+    """A zeroed float64 vector of ``size`` cells in anonymous shared
+    memory: what a forked worker writes into it, this process reads.  It
+    is unmapped when its last reference goes."""
+    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
 
 
 def _read_suite(manifest):
@@ -464,21 +471,17 @@ def _run_splits(feats, labels, splits, dist=None):
 # faster at 1.05 and 2.1 million; LBP P=8 on bf and none broke even at
 # 0.5, ran 28 ms slower at 0.8 and 12 and 55 ms faster at 1.05 and 2.1
 # million.  The threshold, set on LBP P=8, errs towards inline for both.
-# Clean rows on 8 classes of 64^2 (10 alternating runs each): CLBP S/M/C
-# P=16 ran faster on the pool from 1.05 million (bf and dog 276 -> 190
-# ms, bf and none 234 -> 171 ms), but LBP P=8 on bf and none ran slower
-# at 2.1 and 4.2 million, faster in at most 2 runs of 10 in each of three
-# sessions (126-161 -> 144-199 ms at 2.1), with one job per entry.  With
-# the clean rows split by image chunk and triangle part, measured again
-# (random 10-image splits, 10 of them, 10 alternating runs): LBP P=8 on bf
-# and none ran 100 ms inline and 132 ms pooled at 2.1 million (pooled
-# faster in 0 of 10), 209 and 146 ms at 4.2 million (10 of 10).  The jobs
-# are even now, but each half of the bf extraction took 65-75 ms in a
-# worker against 60 ms for the whole suite inline, and the triangle round
-# adds a second pool for a triangle of one block at 20 bins (about 20 ms).
+# Clean rows on 8 classes of 64^2 (10 alternating runs each): with one job
+# per entry, CLBP S/M/C P=16 ran faster on the pool from 1.05 million (bf
+# and dog 276 -> 190 ms).  Split by image chunk and triangle part on one
+# pool, LBP P=8 on bf and none ran slower there at 2.1 million (126-140 ms
+# inline, 153-164 ms pooled, two sessions) and faster at 4.2 million
+# (286-304 against 188-191 ms): each half of its bf extraction took 65-75
+# ms in a worker against 60 ms for the whole suite inline.
 _POOL_PIXELS = 1 << 21
-# The phase's job (a clean row or a noise (level, repeat)), set only in the
-# pool's worker processes (_start_worker).
+# The phase's job, set only in the pool's worker processes (_start_worker):
+# a job of a clean row (a chunk of an entry's features or a share of its
+# chi2 triangle) or a noise (level, repeat).
 _forked_job = None
 
 
@@ -509,8 +512,8 @@ def _rewarn(result, found):
 
 
 def _pool_workers(n_jobs, work):
-    """The worker processes _job_results runs a phase of ``n_jobs`` jobs
-    on, or 0 where it runs them inline."""
+    """The worker processes _job_pool runs a phase of ``n_jobs`` jobs on,
+    or 0 where it runs them inline."""
     workers = min(classify._cpu_count(), n_jobs)
     if (workers > 1 and work >= _POOL_PIXELS
             and threading.active_count() == 1):
@@ -521,47 +524,54 @@ def _pool_workers(n_jobs, work):
     return 0
 
 
-def _job_results(job, jobs, work):
-    """The list of job(*args) for each args in ``jobs``, in order.
+@contextlib.contextmanager
+def _job_pool(job, workers):
+    """A function of a list of argument tuples that returns job(*args) for
+    each, in order; a phase calls it once for each of its rounds.
 
-    The jobs run on one forked worker process per CPU when there is more
-    than one CPU and job, ``work`` is at least _POOL_PIXELS, and this
-    process can fork children and runs no other Python thread (a child
-    could inherit that thread's locks held).  The workers inherit
-    whatever ``job`` reads, shared memory included, so only its arguments
-    go out, and only its result (a few numbers, no array) and the
-    warnings it recorded come back; spawned workers would instead import
-    bftex afresh and be sent the suite.  Once fork() has begun no other
-    thread runs either: the chi2 kernel joins its threads before it
-    returns, the OpenBLAS of the numpy and scipy wheels stops its threads
-    in a fork handler, and the pool starts every worker before its
-    manager thread.  A thread that has been joined can still be exiting,
-    so the pool's own threads are waited for until the kernel drops them
-    (from /proc/self/task, where there is one): the next phase forks its
-    pool right after.  A worker's chi2 kernel runs inline, as the other
-    workers hold the other CPUs.  On an error or an interrupt, the
-    pending jobs are cancelled and every worker is joined before the
-    error goes on; a worker's error keeps its traceback.  Otherwise the
-    jobs run inline, one after another.
+    With ``workers`` from _pool_workers (none on one CPU, for one job,
+    below _POOL_PIXELS of work, where this process cannot fork children,
+    or beside another Python thread, which a child could inherit with
+    its locks held), the jobs of every round run on that many worker
+    processes, forked at the first round.  The workers inherit whatever
+    ``job`` reads, shared memory included, so only its arguments go out,
+    and only its result (a few numbers, no array) and the warnings it
+    recorded come back; spawned workers would instead import bftex
+    afresh and be sent the suite.  Once fork() has begun no other thread
+    runs either: the chi2 kernel joins its threads before it returns,
+    the OpenBLAS of the numpy and scipy wheels stops its threads in a
+    fork handler, and the pool starts every worker before its manager
+    thread.  A thread that has been joined can still be exiting, so on
+    leaving, the pool's own threads are waited for until the kernel
+    drops them (from /proc/self/task, where there is one): the next
+    phase forks its pool right after.  A worker's chi2 kernel runs
+    inline, as the other workers hold the other CPUs.  On an error or an
+    interrupt, the pending jobs are cancelled and every worker is joined
+    before the error goes on; a worker's error keeps its traceback.
+    Without ``workers`` the jobs run inline, one after another.
     """
-    workers = _pool_workers(len(jobs), work)
-    if workers:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker, initargs=(job,))
-        try:
-            futures = [pool.submit(_run_forked, *args) for args in jobs]
-            return [_rewarn(*future.result()) for future in futures]
-        finally:
-            helpers = [thread.native_id for thread in threading.enumerate()
-                       if thread is not threading.current_thread()]
-            pool.shutdown(wait=True, cancel_futures=True)
-            while any(os.path.exists(f"/proc/self/task/{tid}")
-                      for tid in helpers):
-                time.sleep(1e-4)
-    return [job(*args) for args in jobs]
+    if not workers:
+        yield lambda jobs: [job(*args) for args in jobs]
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(job,))
+
+    def run(jobs):
+        futures = [pool.submit(_run_forked, *args) for args in jobs]
+        return [_rewarn(*future.result()) for future in futures]
+
+    try:
+        yield run
+    finally:
+        helpers = [thread.native_id for thread in threading.enumerate()
+                   if thread is not threading.current_thread()]
+        pool.shutdown(wait=True, cancel_futures=True)
+        while any(os.path.exists(f"/proc/self/task/{tid}")
+                  for tid in helpers):
+            time.sleep(1e-4)
 
 
 def run_experiment(config, manifest=None, images=None):
@@ -576,27 +586,32 @@ def run_experiment(config, manifest=None, images=None):
     extracted again.
 
     The clean rows split each entry's work across the CPUs.  When they
-    run on the pool (see _job_results), every entry's (N, bins) features
-    and, where the splits read one chi2 triangle, its (N, N) distances
-    live in anonymous shared memory, allocated before the pool forks.
-    The first round runs one job per (entry, chunk of the suite's
-    blocks, one chunk per CPU; see _chunks), which writes its rows of
-    the features; the second one job per (entry, k) for k < CPUs, which
-    writes the triangle's reference blocks k::CPUs and their mirrors
-    (the chi2 kernel's own deal, classify._chi2_part).  A job sends back
-    only its failure and its seconds.  This process then scores every
-    split of an entry from its triangle and unmaps it before the next.
-    Inline, one entry at a time is extracted in one chunk and matched
-    with the chi2 kernel's threads, its features freed after its row.
-    An entry's failure is that of its first failing chunk in image
-    order: the chunks cut the suite at its blocks, so that is the
-    failure of a one-CPU run.  Each noise (level, repeat) pair is one
-    job: one pass over its corrupted images a block at a time, with the
-    noise drawn into the block and shared by every preprocessor (see
-    _extract_features).  The noise phase forks its workers after the
-    clean rows, so they inherit the clean features.  A job reads no
-    other job's result, so the report is the same inline or pooled:
-    every noise job runs every preprocessor that finished its clean row.
+    run on the pool (see _job_pool), forked once for all their rounds,
+    the entries go as many at a time as there are CPUs, each entry of a
+    group in its own slot of anonymous shared memory, mapped before the
+    fork and used again by the next group: room for the widest entry's
+    (N, bins) features (see _yields_pair) and, where the splits read one
+    chi2 triangle, (N, N) distances.  A group's first round runs one job
+    per (entry, chunk of the suite's blocks, one chunk per CPU; see
+    _chunks), which writes its rows of the features; the second one job
+    per (entry, k) for k < CPUs, which writes the triangle's reference
+    blocks k::CPUs and their mirrors (the chi2 kernel's own deal,
+    classify._chi2_part).  A job sends back only its failure and its
+    seconds.  This process then scores every split of the group's
+    entries from their triangles, and copies out their features only
+    where noise rows follow, before the next group.  So the shared
+    memory grows with the CPUs, not with the entries.  Inline, one entry
+    at a time is extracted in one chunk and matched with the chi2
+    kernel's threads.  An entry's failure is that of its first failing
+    chunk in image order: the chunks cut the suite at its blocks, so
+    that is the failure of a one-CPU run.  Each noise (level, repeat)
+    pair is one job: one pass over its corrupted images a block at a
+    time, with the noise drawn into the block and shared by every
+    preprocessor (see _extract_features).  The noise phase forks its
+    workers after the clean rows, so they inherit the clean features.
+    A job reads no other job's result, so the report is the same inline
+    or pooled: every noise job runs every preprocessor that finished its
+    clean row.
     A preprocessor that fails on bad input (a ValueError) while its
     images are drawn, preprocessed or described keeps the rows of the
     levels before its first failure and is recorded as a failure under
@@ -631,66 +646,78 @@ def run_experiment(config, manifest=None, images=None):
     # by preprocessor entry; the noise jobs run level, repeat, block so that
     # each repeat's noise is drawn once, yet rows list preprocessor first
     names, n = config.preprocessors, len(pixels)
-    work = len(names) * sum(np.size(img) for img in pixels)
     cpus = classify._cpu_count()
     chunks = _chunks(pixels, desc.spec, cpus)
-    pooled = _pool_workers(len(names) * len(chunks), work) > 0
-    if not pooled:  # one entry at a time in one chunk, as on one CPU
+    workers = _pool_workers(len(names) * len(chunks), len(names) * sum(
+        np.size(img) for img in pixels))
+    # entries run `slots` at a time, each in a slot of memory: a group's
+    # features, and where the splits read one triangle, its triangles
+    slots, triangle = 1, False
+    if workers:
+        slots, triangle = min(cpus, len(names)), _triangle_pays(n, splits)
+    else:  # one entry at a time in one chunk, as on one CPU
         chunks = [(0, n)]
-    feats, dists, rows, failed = {}, {}, {name: [] for name in names}, {}
+    widths = {name: descriptors.feature_size(desc, on_maps=_yields_pair(name))
+              for name in names}
+    slot = {name: k % slots for k, name in enumerate(names)}
+    alloc = _shared_array if workers else np.empty
+    feat_slots = [alloc(n * max(widths.values())) for _ in range(slots)]
+    dist_slots = [alloc(n * n) for _ in range(slots if triangle else 0)]
+    feats, rows, failed = {}, {name: [] for name in names}, {}
     extract_s, match_s = dict.fromkeys(names, 0.0), dict.fromkeys(names, 0.0)
 
-    def extract(name, lo, hi):
-        """Write the entry's feature rows lo:hi; returns its failure (None
-        if it did not fail) and the seconds taken."""
-        t0 = time.perf_counter()
-        _, chunk_failed = _extract_features(
-            pixels, maxvals, paths, range(lo, hi), (name,), config,
-            out={name: feats[name][lo:hi]})
-        return chunk_failed.get(name), time.perf_counter() - t0
+    def features(name):
+        return feat_slots[slot[name]][:n * widths[name]].reshape(n, -1)
 
-    def slab(name, part):
-        """Write the part-th share of the entry's chi2 triangle; returns
-        the seconds taken."""
-        t0 = time.perf_counter()
-        hists = ReferenceSet(feats[name], labels).histograms
-        classify._chi2_part(hists, hists, dists[name], part, cpus,
-                            symmetric=True)
-        return time.perf_counter() - t0
+    def distances(name):
+        return dist_slots[slot[name]].reshape(n, n)
 
-    for group in [names] if pooled else [(name,) for name in names]:
-        for name in group:
-            feats[name] = _shared_array((n, descriptors.feature_size(
-                desc, on_maps=isinstance(name, BfParams) or name == "bf")))
-        jobs = [(name, lo, hi) for name in group for lo, hi in chunks]
-        for (name, _, _), (msg, took) in zip(
-                jobs, _job_results(extract, jobs, work)):
-            extract_s[name] += took
-            if msg is not None:  # the first failing chunk in image order
-                failed.setdefault(name, msg)
-        for name in group:
-            if name in failed:  # the other preprocessors still run
-                del feats[name]
-        live = [name for name in group if name in feats]
-        if pooled and _triangle_pays(n, splits):
-            jobs = [(name, part) for name in live for part in range(cpus)]
-            dists.update((name, _shared_array((n, n))) for name in live)
-            for (name, _), took in zip(jobs, _job_results(slab, jobs, work)):
-                match_s[name] += took
-        for name in live:
-            t0 = time.perf_counter()
-            accs = _run_splits(feats[name], labels, splits,
-                               dists.pop(name, None))
-            match_s[name] += time.perf_counter() - t0
-            timing = ()
-            if config.include_timing:  # mean ms per image and per query
-                timing = (extract_s[name] * 1000.0 / n,
-                          match_s[name] * 1000.0
-                          / sum(len(test) for _, test in splits))
-            rows[name].append(row(name, "clean", accs, feats[name].shape[1],
-                                  *timing))
-            if not config.noise:  # kept for the noise rows only
-                del feats[name]
+    def clean(name, task, k):
+        """Write chunk k of the entry's features ("rows") or the k-th share
+        of its chi2 triangle ("triangle") into its slot; returns the failure
+        (None if it did not fail) and the seconds taken."""
+        t0, msg = time.perf_counter(), None
+        if task == "rows":
+            lo, hi = chunks[k]
+            msg = _extract_features(
+                pixels, maxvals, paths, range(lo, hi), (name,), config,
+                out={name: features(name)[lo:hi]})[1].get(name)
+        else:
+            hists = ReferenceSet(features(name), labels).histograms
+            classify._chi2_part(hists, hists, distances(name), k, cpus,
+                                symmetric=True)
+        return msg, time.perf_counter() - t0
+
+    with _job_pool(clean, workers) as run:
+        for at in range(0, len(names), slots):
+            group = names[at:at + slots]
+            jobs = [(name, "rows", k) for name in group
+                    for k in range(len(chunks))]
+            for (name, _, _), (msg, took) in zip(jobs, run(jobs)):
+                extract_s[name] += took
+                if msg is not None:  # the first failing chunk in image order
+                    failed.setdefault(name, msg)
+            live = [name for name in group if name not in failed]
+            if triangle:
+                jobs = [(name, "triangle", k) for name in live
+                        for k in range(cpus)]
+                for (name, _, _), (_, took) in zip(jobs, run(jobs)):
+                    match_s[name] += took
+            for name in live:  # the other preprocessors still run
+                t0 = time.perf_counter()
+                accs = _run_splits(features(name), labels, splits,
+                                   distances(name) if triangle else None)
+                match_s[name] += time.perf_counter() - t0
+                timing = ()
+                if config.include_timing:  # mean ms per image and per query
+                    timing = (extract_s[name] * 1000.0 / n,
+                              match_s[name] * 1000.0
+                              / sum(len(test) for _, test in splits))
+                rows[name].append(row(name, "clean", accs, widths[name],
+                                      *timing))
+                if config.noise:  # the noise rows read the clean features
+                    feats[name] = features(name).copy()
+    del feat_slots, dist_slots  # unmapped before the noise workers fork
     levels = config.noise.snr_levels if config.noise else ()
     jobs = [(li, rep) for li in range(len(levels))
             for rep in range(config.noise.repeats)]
@@ -721,7 +748,8 @@ def run_experiment(config, manifest=None, images=None):
 
     work = len(feats) * sum(np.size(pixels[j]) for _, rep in jobs
                             for j in corrupted(rep)[1])
-    results = iter(_job_results(job, jobs, work))
+    with _job_pool(job, _pool_workers(len(jobs), work)) as run:
+        results = iter(run(jobs))
     by_level = [tuple(zip(*itertools.islice(results, config.noise.repeats)))
                 for _ in levels]  # (accs, failures) of each level's jobs
     for name in feats:  # the first failure in job order wins

@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import io
@@ -30,7 +31,7 @@ from bftex.harness import (REPORT_COLUMNS, ConfigError, ExperimentConfig,
                            load_manifest, make_splits, parse_config_file,
                            run_experiment, sweep_bf_params)
 from bftex.image import NonFiniteImageError, gaussian_kernel_1d, load_image
-from bftex.retina import BfParams, split_maps
+from bftex.retina import BfMaps, BfParams, split_maps
 from bftex.synthetic import generate_suite
 
 
@@ -611,6 +612,15 @@ class TestRunExperiment:
             else:
                 np.testing.assert_array_equal(got, expected)
 
+    def test_yields_pair_is_what_apply_preprocessor_gives(self):
+        # a pooled run sizes its feature arrays by _yields_pair before any
+        # image is preprocessed
+        img = np.random.default_rng(3).random((2, 20, 20))
+        config = ExperimentConfig(manifest_path=None)
+        for entry in (*harness.PREPROCESSORS, BfParams(0.5, 3.0, 0.05)):
+            got = apply_preprocessor(img, entry, config)
+            assert harness._yields_pair(entry) == isinstance(got, BfMaps)
+
     def test_large_labels_give_the_same_report(self, tmp_path):
         # evaluate sizes a confusion matrix by the largest label; the
         # harness maps labels to 0..K-1 in order, which moves no byte
@@ -887,25 +897,47 @@ class TestNoiseJobPool:
 
     @staticmethod
     def phases(config, failed=()):
-        """What force_pool records for a run of ``config``: the jobs of
-        each phase that has two or more.  The clean rows take two rounds:
-        one job per (entry, half of the suite's blocks), then, where the
-        splits read one chi2 triangle, one per (entry that did not fail in
-        the first round, half of its triangle).  The (level, repeat) pairs
-        of the noise rows follow."""
+        """What force_pool records for a run of ``config``: the jobs sent
+        to each pool made.  The clean rows run on one pool, two entries at
+        a time: one job per (entry, half of the suite's blocks), then,
+        where the splits read one chi2 triangle, one per (entry that did
+        not fail in the first round, half of its triangle).  The (level,
+        repeat) pairs of the noise rows follow on a pool of their own."""
         manifest = load_manifest(config.manifest_path)
         images = [load_image(p) for p, _ in manifest.samples]
         chunks = harness._chunks(images, config.descriptor.spec, 2)
-        extract = [(name, lo, hi) for name in config.preprocessors
-                   for lo, hi in chunks]
-        slabs = [(name, part) for name in config.preprocessors
-                 if name not in failed for part in range(2)]
-        if not harness._triangle_pays(len(images),
-                                      make_splits(manifest, config.split)):
-            slabs = []
+        triangle = harness._triangle_pays(len(images),
+                                          make_splits(manifest, config.split))
+        names, clean = config.preprocessors, []
+        for at in range(0, len(names), 2):
+            group = names[at:at + 2]
+            clean += [(name, "rows", k) for name in group
+                      for k in range(len(chunks))]
+            clean += [(name, "triangle", k) for name in group
+                      if triangle and name not in failed for k in range(2)]
+        if len(names) * len(chunks) == 1:
+            clean = []
         noise = [(li, rep) for li in range(len(config.noise.snr_levels))
                  for rep in range(config.noise.repeats)] if config.noise else []
-        return [jobs for jobs in (extract, slabs, noise) if len(jobs) > 1]
+        return [jobs for jobs in (clean, noise) if len(jobs) > 1]
+
+    @staticmethod
+    def record_rounds(patch, step=1):
+        """Record (job name, results) of each round of jobs that a phase
+        runs, its jobs run in ``step`` order (-1: last to first); returns
+        the list."""
+        real, rounds = harness._job_pool, []
+
+        @contextlib.contextmanager
+        def job_pool(job, workers):
+            with real(job, workers) as run:
+                def recorded(jobs):
+                    rounds.append((job.__name__, run(jobs[::step])[::step]))
+                    return rounds[-1][1]
+                yield recorded
+
+        patch.setattr(harness, "_job_pool", job_pool)
+        return rounds
 
     def inline_and_pooled(self, monkeypatch, config, **kw):
         """(report inline, report on the pools) of one run."""
@@ -973,26 +1005,20 @@ class TestNoiseJobPool:
         # last to first gives each the same result and the same report
         manifest, images, config = self.failing_in_a_later_repeat(
             small_suite, monkeypatch)
-        real, results = harness._job_results, []
-
-        def recorded(step):
-            def job_results(job, jobs, work):
-                results.append((job.__name__,
-                                real(job, jobs[::step], work)[::step]))
-                return results[-1][1]
-            return job_results
-
-        monkeypatch.setattr(harness, "_job_results", recorded(1))
-        forward = run_experiment(config, manifest=manifest, images=images)
-        monkeypatch.setattr(harness, "_job_results", recorded(-1))
-        backward = run_experiment(config, manifest=manifest, images=images)
+        with monkeypatch.context() as patch:
+            results = self.record_rounds(patch)
+            forward = run_experiment(config, manifest=manifest, images=images)
+        with monkeypatch.context() as patch:
+            back = self.record_rounds(patch, step=-1)
+            backward = run_experiment(config, manifest=manifest, images=images)
+        results += back
         assert backward.to_csv() == forward.to_csv()
         assert backward.failures == forward.failures == [
             ("dog", "ValueError: noisy copy refused")]
         # inline, each entry's clean rows, then the noise jobs; forward
         # then backward.  A clean job returns its failure and its seconds.
         phases = [name for name, _ in results]
-        assert phases == ["extract", "extract", "job"] * 2
+        assert phases == ["clean", "clean", "job"] * 2
         (_, dog), (_, bf), (_, noise), (_, dog_back), (_, bf_back), \
             (_, noise_back) = results
         for clean, clean_back in ((dog, dog_back), (bf, bf_back)):
@@ -1131,10 +1157,10 @@ class TestNoiseJobPool:
         config = small_config(small_suite, split=self.TRIANGLE,
                               noise=self.NOISE)
         run_experiment(config)
-        # two workers for each round of the clean rows, then two for the
+        # two workers for both rounds of the clean rows, then two for the
         # noise rows
-        assert len(self.phases(config)) == 3
-        assert pools == self.phases(config) and counts == [1] * 6
+        assert len(self.phases(config)) == 2 and len(pools[0]) == 8
+        assert pools == self.phases(config) and counts == [1] * 4
 
     def test_other_python_thread_runs_inline(self, small_suite, monkeypatch):
         # a worker could inherit that thread's locks held
@@ -1179,7 +1205,8 @@ class TestNoiseJobPool:
         run_experiment(config)
         # on 2 CPUs the clean rows of the 2 entries still use a pool
         assert pools == ([] if cpus == 1 else [[
-            ("bf", 0, 16), ("bf", 16, 24), ("none", 0, 16), ("none", 16, 24)]])
+            ("bf", "rows", 0), ("bf", "rows", 1), ("none", "rows", 0),
+            ("none", "rows", 1)]])
 
     def test_daemonic_process_runs_inline(self, small_suite, monkeypatch):
         # a daemonic process may not have children, so it makes no pool
@@ -1264,8 +1291,8 @@ class TestNoiseJobPool:
         pools = self.force_pool(monkeypatch)
         with pytest.raises(TypeError, match="broken preprocessor") as info:
             run_experiment(small_config(small_suite))
-        assert pools == [[("bf", 0, 16), ("bf", 16, 24), ("none", 0, 16),
-                          ("none", 16, 24)]]
+        assert pools == [[("bf", "rows", 0), ("bf", "rows", 1),
+                          ("none", "rows", 0), ("none", "rows", 1)]]
         assert multiprocessing.active_children() == []
         assert "in broken" in str(info.value.__cause__)
 
@@ -1275,14 +1302,15 @@ class TestNoiseJobPool:
         pools = self.force_pool(monkeypatch)
         run_experiment(small_config(small_suite, preprocessors=("bf",),
                                     split=self.TRIANGLE))
-        assert pools == [[("bf", 0, 16), ("bf", 16, 24)],
-                         [("bf", 0), ("bf", 1)]]
+        assert pools == [[("bf", "rows", 0), ("bf", "rows", 1),
+                          ("bf", "triangle", 0), ("bf", "triangle", 1)]]
         pools.clear()
         config = small_config(small_suite, preprocessors=("bf",),
                               noise=self.NOISE)
         run_experiment(config)
         assert pools == self.phases(config) == [
-            [("bf", 0, 16), ("bf", 16, 24)], [(0, 0), (0, 1), (1, 0), (1, 1)]]
+            [("bf", "rows", 0), ("bf", "rows", 1)],
+            [(0, 0), (0, 1), (1, 0), (1, 1)]]
 
     @pytest.mark.parametrize("entries", [
         ("bf",), ("bf", "dog", "none", BfParams(0.5, 3.0, 0.05))])
@@ -1300,27 +1328,43 @@ class TestNoiseJobPool:
         assert pooled.failures == inline.failures == one_cpu.failures == []
         assert len(inline.rows) == len(entries)
 
+    def test_shared_memory_holds_one_group_of_entries(self, small_suite,
+                                                      monkeypatch):
+        # five entries on two CPUs run two at a time, each of a group in
+        # its own slot: a run maps two feature arrays (of the widest entry)
+        # and two triangles, however many entries it has
+        real, made = harness._shared_array, []
+
+        def counted(size):
+            made.append(size)
+            return real(size)
+
+        monkeypatch.setattr(harness, "_shared_array", counted)
+        entries = ("bf", "dog", "none", "gamma", BfParams(0.5, 3.0, 0.05))
+        config = small_config(small_suite, preprocessors=entries,
+                              split=self.TRIANGLE)
+        inline, pooled = self.inline_and_pooled(monkeypatch, config)
+        n, bins = 24, feature_size(config.descriptor, on_maps=True)
+        assert made == [n * bins] * 2 + [n * n] * 2
+        assert pooled.to_csv() == inline.to_csv()
+        assert [r.preprocessor for r in pooled.rows] == [
+            "bf", "dog", "none", "gamma", "bf[0.5,3,0.05]"]
+
     def test_clean_round_results_hold_no_array(self, small_suite,
                                                monkeypatch):
         # features and triangles stay in shared memory: a clean job sends
         # back its failure and its seconds, a noise job its accuracies
-        real, results = harness._job_results, []
-
-        def recorded(job, jobs, work):
-            results.append(real(job, jobs, work))
-            return results[-1]
-
-        monkeypatch.setattr(harness, "_job_results", recorded)
+        rounds = self.record_rounds(monkeypatch)
         pools = self.force_pool(monkeypatch)
         config = small_config(small_suite, split=self.TRIANGLE,
                               noise=self.NOISE)
         run_experiment(config)
-        assert pools == self.phases(config) and len(results) == 3
-        extracted, slabs, _ = results
-        assert len(extracted) == 4 and len(slabs) == 4
-        for failure, seconds in extracted:
-            assert failure is None and type(seconds) is float
-        assert all(type(seconds) is float for seconds in slabs)
+        assert pools == self.phases(config)
+        assert [(name, len(results)) for name, results in rounds] == [
+            ("clean", 4), ("clean", 4), ("job", 4)]
+        for _, results in rounds[:2]:
+            for failure, seconds in results:
+                assert failure is None and type(seconds) is float
 
     def test_entry_failing_in_two_chunks_names_its_first(
             self, small_suite, monkeypatch):
@@ -1330,25 +1374,20 @@ class TestNoiseJobPool:
         for k in (5, 20):
             images[k] = images[k].copy()
             images[k][3, 4] = np.nan
-        real, results = harness._job_results, []
-
-        def recorded(job, jobs, work):
-            results.append(real(job, jobs, work))
-            return results[-1]
-
         config = small_config(small_suite, split=self.TRIANGLE)
         run = lambda: run_experiment(config, manifest=manifest, images=images)
         inline = run()
         with monkeypatch.context() as patch:
             pools = self.force_pool(patch)
-            patch.setattr(harness, "_job_results", recorded)
+            results = self.record_rounds(patch)
             pooled = run()
             patch.setattr(classify, "_cpu_count", lambda: 1)
             one_cpu = run()
         assert pools == self.phases(config, failed=config.preprocessors)
         message = lambda k: (f"NonFiniteImageError: {manifest.samples[k][0]}: "
                              f"image has NaN or infinite pixels")
-        assert [msg for msg, _ in results[0]] == [message(5), message(20)] * 2
+        assert [msg for msg, _ in results[0][1]] == \
+            [message(5), message(20)] * 2
         assert pooled.rows == inline.rows == one_cpu.rows == []
         assert pooled.failures == inline.failures == one_cpu.failures == [
             ("bf", message(5)), ("none", message(5))]
