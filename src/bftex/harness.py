@@ -457,31 +457,13 @@ def _run_splits(feats, labels, splits, dist=None):
             for train, test in splits]
 
 
-# Pixel-entries of a phase's jobs from which run_experiment runs them on
-# forked worker processes: suite pixels x preprocessor entries for the
-# clean rows, and corrupted pixels x live entries, summed over the
-# protocol's (level, repeat) jobs, for the noise rows.  Set on noise
-# jobs.  On 2 shared CPUs a two-worker fork pool
-# took 11 ms to start and stop, and busy CPUs slowed each worker's jobs.
-# Over 16 alternating runs each on one 64^2 suite (LBP P=8), protocols of
-# 1.25 million pixel-entries ran 15-33 ms slower on the pool, and ones of
-# 1.9 million or more 40-87 ms faster.  Checked on one level of jobs over
-# 16 test images of 64^2 (10 alternating pairs each): CLBP S/M/C P=16 on
-# bf and dog ran 31 ms slower at 0.5 and 0.8 million, and 74 and 216 ms
-# faster at 1.05 and 2.1 million; LBP P=8 on bf and none broke even at
-# 0.5, ran 28 ms slower at 0.8 and 12 and 55 ms faster at 1.05 and 2.1
-# million.  The threshold, set on LBP P=8, errs towards inline for both.
-# Clean rows on 8 classes of 64^2 (10 alternating runs each): with one job
-# per entry, CLBP S/M/C P=16 ran faster on the pool from 1.05 million (bf
-# and dog 276 -> 190 ms).  Split by image chunk and triangle part on one
-# pool, LBP P=8 on bf and none ran slower there at 2.1 million (126-140 ms
-# inline, 153-164 ms pooled, two sessions) and faster at 4.2 million
-# (286-304 against 188-191 ms): each half of its bf extraction took 65-75
-# ms in a worker against 60 ms for the whole suite inline.
+# Pixel-entries of a run's jobs from which run_experiment runs them on
+# forked worker processes: the suite's pixels plus the corrupted pixels of
+# every noise (level, repeat), times the preprocessor entries.  Below it,
+# starting the workers costs more than they save (README, "Rows on every
+# core").
 _POOL_PIXELS = 1 << 21
-# The phase's job, set only in the pool's worker processes (_start_worker):
-# a job of a clean row (a chunk of an entry's features or a share of its
-# chi2 triangle) or a noise (level, repeat).
+# The run's job, set only in the pool's worker processes (_start_worker).
 _forked_job = None
 
 
@@ -512,8 +494,8 @@ def _rewarn(result, found):
 
 
 def _pool_workers(n_jobs, work):
-    """The worker processes _job_pool runs a phase of ``n_jobs`` jobs on,
-    or 0 where it runs them inline."""
+    """The worker processes for a run of ``n_jobs`` jobs and ``work``
+    pixel-entries, or 0 where _job_pool runs them inline."""
     workers = min(classify._cpu_count(), n_jobs)
     if (workers > 1 and work >= _POOL_PIXELS
             and threading.active_count() == 1):
@@ -527,7 +509,7 @@ def _pool_workers(n_jobs, work):
 @contextlib.contextmanager
 def _job_pool(job, workers):
     """A function of a list of argument tuples that returns job(*args) for
-    each, in order; a phase calls it once for each of its rounds.
+    each, in order; a run calls it once for each of its rounds.
 
     With ``workers`` from _pool_workers (none on one CPU, for one job,
     below _POOL_PIXELS of work, where this process cannot fork children,
@@ -544,7 +526,7 @@ def _job_pool(job, workers):
     thread.  A thread that has been joined can still be exiting, so on
     leaving, the pool's own threads are waited for until the kernel
     drops them (from /proc/self/task, where there is one): the next
-    phase forks its pool right after.  A worker's chi2 kernel runs
+    run can fork its pool right after.  A worker's chi2 kernel runs
     inline, as the other workers hold the other CPUs.  On an error or an
     interrupt, the pending jobs are cancelled and every worker is joined
     before the error goes on; a worker's error keeps its traceback.
@@ -578,48 +560,36 @@ def run_experiment(config, manifest=None, images=None):
     """Execute the configured experiment and return its report.
 
     The manifest's images are read at their files' precision (8- or 16-bit
-    samples) unless ``images`` gives them as arrays on [0, 1].
+    samples) unless ``images`` gives them as arrays on [0, 1].  Clean
+    accuracy is always reported; with a noise spec, one row per SNR level
+    follows.  Noise goes into the test images only unless corrupt_train
+    is set, and only the corrupted images are extracted again.
 
-    Clean accuracy is always reported; when a noise spec is present, one
-    row per SNR level follows.  Noise is applied to test images only
-    unless corrupt_train is set, and only the corrupted images are
-    extracted again.
+    The entries run in groups, each entry of a group in its own slot of
+    memory: its (N, bins) features and, where the splits read one chi2
+    triangle on the pool, its (N, N) distances.  A group runs two rounds
+    of jobs (see _job_pool).  The first writes the features, one job per
+    (entry, chunk of the suite's blocks; see _chunks).  The second runs
+    the group's noise jobs, one per (level, repeat), which read the clean
+    training rows from the slots, and after them one job per (entry, k),
+    which writes the k-th share of the entry's triangle (see
+    classify._chi2_part).  Then every split is scored and the noise
+    results are merged in (level, repeat) order.  On the pool a group has
+    one entry per CPU and the slots are shared memory, so memory grows
+    with the CPUs, not with the entries.  Inline, the suite is one chunk,
+    and the entries form one group when noise rows follow, so that each
+    noise draw is made once, and groups of one when not.  A job reads no
+    other job's result, so the report is the same inline or pooled.
 
-    The clean rows split each entry's work across the CPUs.  When they
-    run on the pool (see _job_pool), forked once for all their rounds,
-    the entries go as many at a time as there are CPUs, each entry of a
-    group in its own slot of anonymous shared memory, mapped before the
-    fork and used again by the next group: room for the widest entry's
-    (N, bins) features (see _yields_pair) and, where the splits read one
-    chi2 triangle, (N, N) distances.  A group's first round runs one job
-    per (entry, chunk of the suite's blocks, one chunk per CPU; see
-    _chunks), which writes its rows of the features; the second one job
-    per (entry, k) for k < CPUs, which writes the triangle's reference
-    blocks k::CPUs and their mirrors (the chi2 kernel's own deal,
-    classify._chi2_part).  A job sends back only its failure and its
-    seconds.  This process then scores every split of the group's
-    entries from their triangles, and copies out their features only
-    where noise rows follow, before the next group.  So the shared
-    memory grows with the CPUs, not with the entries.  Inline, one entry
-    at a time is extracted in one chunk and matched with the chi2
-    kernel's threads.  An entry's failure is that of its first failing
-    chunk in image order: the chunks cut the suite at its blocks, so
-    that is the failure of a one-CPU run.  Each noise (level, repeat)
-    pair is one job: one pass over its corrupted images a block at a
-    time, with the noise drawn into the block and shared by every
-    preprocessor (see _extract_features).  The noise phase forks its
-    workers after the clean rows, so they inherit the clean features.
-    A job reads no other job's result, so the report is the same inline
-    or pooled: every noise job runs every preprocessor that finished its
-    clean row.
-    A preprocessor that fails on bad input (a ValueError) while its
-    images are drawn, preprocessed or described keeps the rows of the
-    levels before its first failure and is recorded as a failure under
-    its label, and the others still run; any other error propagates.
-    Every image is read before the first row, so a file that cannot be
-    read (an OSError) fails the whole run.  Clean rows carry timings
-    only when config.include_timing is set: the seconds of an entry's
-    jobs and of its scoring, summed, per image and per query.
+    An entry that fails on bad input (a ValueError) while its images are
+    drawn, preprocessed or described keeps the rows of the levels before
+    its first failure and is recorded under its label with the message of
+    its first failing job (chunks in image order, then noise jobs in
+    (level, repeat) order); the other entries still run, and any other
+    error propagates.  Every image is read before the first row, so a file
+    that cannot be read (an OSError) fails the whole run.  Clean rows
+    carry timings only when config.include_timing is set: the seconds of
+    an entry's jobs and of its scoring, summed, per image and per query.
     """
     if manifest is None:
         manifest = load_manifest(config.manifest_path, suite=config.suite)
@@ -643,27 +613,34 @@ def run_experiment(config, manifest=None, images=None):
             mean_accuracy=float(np.mean(accs)), std_accuracy=std,
             feature_size=fsize, extract_ms=extract_ms, match_ms=match_ms)
 
-    # by preprocessor entry; the noise jobs run level, repeat, block so that
-    # each repeat's noise is drawn once, yet rows list preprocessor first
     names, n = config.preprocessors, len(pixels)
+    levels = config.noise.snr_levels if config.noise else ()
+    draws = [(li, rep) for li in range(len(levels))
+             for rep in range(config.noise.repeats)]
+
+    def corrupted(rep):
+        # a repeat's split, and its images that take noise: the test images
+        # first, in index order; untouched images keep their clean features
+        train, test = splits[rep % len(splits)]
+        return (train, test), test + (train if config.corrupt_train else [])
+
     cpus = classify._cpu_count()
     chunks = _chunks(pixels, desc.spec, cpus)
-    workers = _pool_workers(len(names) * len(chunks), len(names) * sum(
-        np.size(img) for img in pixels))
-    # entries run `slots` at a time, each in a slot of memory: a group's
-    # features, and where the splits read one triangle, its triangles
-    slots, triangle = 1, False
+    workers = _pool_workers(
+        len(names) * len(chunks) + len(draws),
+        len(names) * sum(np.size(pixels[j]) for j in itertools.chain(
+            range(n), *(corrupted(rep)[1] for _, rep in draws))))
     if workers:
         slots, triangle = min(cpus, len(names)), _triangle_pays(n, splits)
-    else:  # one entry at a time in one chunk, as on one CPU
-        chunks = [(0, n)]
+    else:
+        slots, triangle, chunks = len(names) if draws else 1, False, [(0, n)]
     widths = {name: descriptors.feature_size(desc, on_maps=_yields_pair(name))
               for name in names}
     slot = {name: k % slots for k, name in enumerate(names)}
     alloc = _shared_array if workers else np.empty
     feat_slots = [alloc(n * max(widths.values())) for _ in range(slots)]
     dist_slots = [alloc(n * n) for _ in range(slots if triangle else 0)]
-    feats, rows, failed = {}, {name: [] for name in names}, {}
+    rows, failed = {name: [] for name in names}, {}
     extract_s, match_s = dict.fromkeys(names, 0.0), dict.fromkeys(names, 0.0)
 
     def features(name):
@@ -672,37 +649,65 @@ def run_experiment(config, manifest=None, images=None):
     def distances(name):
         return dist_slots[slot[name]].reshape(n, n)
 
-    def clean(name, task, k):
-        """Write chunk k of the entry's features ("rows") or the k-th share
-        of its chi2 triangle ("triangle") into its slot; returns the failure
-        (None if it did not fail) and the seconds taken."""
-        t0, msg = time.perf_counter(), None
+    def job(task, *args):
+        """(result, seconds) of one job.  ("rows", name, k) writes chunk k
+        of the entry's features into its slot; its result is the entry's
+        failure, or None.  ("triangle", name, k) writes the k-th share of
+        its chi2 triangle.  ("noise", live, li, rep) gives the accuracy of
+        each entry of ``live`` at one (level, repeat), with the noisy test
+        images as queries and the noisy or clean training images as
+        references, and the entries that failed in it with their
+        messages."""
+        t0, result = time.perf_counter(), None
         if task == "rows":
+            name, k = args
             lo, hi = chunks[k]
-            msg = _extract_features(
+            result = _extract_features(
                 pixels, maxvals, paths, range(lo, hi), (name,), config,
                 out={name: features(name)[lo:hi]})[1].get(name)
-        else:
+        elif task == "triangle":
+            name, k = args
             hists = ReferenceSet(features(name), labels).histograms
             classify._chi2_part(hists, hists, distances(name), k, cpus,
                                 symmetric=True)
-        return msg, time.perf_counter() - t0
+        else:
+            live, li, rep = args
+            (train, test), ids = corrupted(rep)
+            noisy, job_failed = _extract_features(
+                pixels, maxvals, paths, ids, live, config,
+                (levels[li], _rng(config.noise.seed, li, rep)))
+            accs = {}
+            for name, hists in noisy.items():
+                refs = (hists[len(test):] if config.corrupt_train
+                        else features(name)[train])
+                dist = chi2_matrix(hists[:len(test)],
+                                   ReferenceSet(refs, labels[train]))
+                accs[name] = evaluate(dist, labels[test], labels[train])[0]
+            result = accs, job_failed
+        return result, time.perf_counter() - t0
 
-    with _job_pool(clean, workers) as run:
+    with _job_pool(job, workers) as run:
         for at in range(0, len(names), slots):
             group = names[at:at + slots]
-            jobs = [(name, "rows", k) for name in group
+            jobs = [("rows", name, k) for name in group
                     for k in range(len(chunks))]
-            for (name, _, _), (msg, took) in zip(jobs, run(jobs)):
+            for (_, name, _), (msg, took) in zip(jobs, run(jobs)):
                 extract_s[name] += took
                 if msg is not None:  # the first failing chunk in image order
                     failed.setdefault(name, msg)
-            live = [name for name in group if name not in failed]
-            if triangle:
-                jobs = [(name, "triangle", k) for name in live
-                        for k in range(cpus)]
-                for (name, _, _), (_, took) in zip(jobs, run(jobs)):
-                    match_s[name] += took
+            live = tuple(name for name in group if name not in failed)
+            # noise jobs first, so that the workers split them evenly: a
+            # one-block triangle is all in one share, the others are empty
+            noise = [("noise", live, li, rep) for li, rep in draws if live]
+            shares = [("triangle", name, k) for name in live if triangle
+                      for k in range(cpus)]
+            results = run(noise + shares)
+            for (_, name, _), (_, took) in zip(shares, results[len(noise):]):
+                match_s[name] += took
+            done = (result for result, _ in results[:len(noise)])
+            by_level = [  # (accs, failures) of each level's jobs
+                tuple(zip(*itertools.islice(done, config.noise.repeats)))
+                for _ in levels]
             for name in live:  # the other preprocessors still run
                 t0 = time.perf_counter()
                 accs = _run_splits(features(name), labels, splits,
@@ -715,51 +720,14 @@ def run_experiment(config, manifest=None, images=None):
                               / sum(len(test) for _, test in splits))
                 rows[name].append(row(name, "clean", accs, widths[name],
                                       *timing))
-                if config.noise:  # the noise rows read the clean features
-                    feats[name] = features(name).copy()
-    del feat_slots, dist_slots  # unmapped before the noise workers fork
-    levels = config.noise.snr_levels if config.noise else ()
-    jobs = [(li, rep) for li in range(len(levels))
-            for rep in range(config.noise.repeats)]
-
-    def corrupted(rep):
-        # a repeat's split, and its images that take noise: the test images
-        # first, in index order; untouched images keep their clean features
-        train, test = splits[rep % len(splits)]
-        return (train, test), test + (train if config.corrupt_train else [])
-
-    def job(li, rep):
-        """Accuracy by entry at one (level, repeat), and the entries that
-        failed in it with their messages.  Every entry with a clean row
-        runs; the query rows are the noisy test images, the reference rows
-        the noisy or clean training images."""
-        (train, test), ids = corrupted(rep)
-        noisy, job_failed = _extract_features(
-            pixels, maxvals, paths, ids, tuple(feats), config,
-            (levels[li], _rng(config.noise.seed, li, rep)))
-        accs = {}
-        for name, hists in noisy.items():
-            refs = hists[len(test):] if config.corrupt_train else \
-                feats[name][train]
-            dist = chi2_matrix(hists[:len(test)],
-                               ReferenceSet(refs, labels[train]))
-            accs[name] = evaluate(dist, labels[test], labels[train])[0]
-        return accs, job_failed
-
-    work = len(feats) * sum(np.size(pixels[j]) for _, rep in jobs
-                            for j in corrupted(rep)[1])
-    with _job_pool(job, _pool_workers(len(jobs), work)) as run:
-        results = iter(run(jobs))
-    by_level = [tuple(zip(*itertools.islice(results, config.noise.repeats)))
-                for _ in levels]  # (accs, failures) of each level's jobs
-    for name in feats:  # the first failure in job order wins
-        for snr, (accs, fails) in zip(levels, by_level):
-            msg = next((f[name] for f in fails if name in f), None)
-            if msg is not None:
-                failed[name] = msg
-                break
-            rows[name].append(row(name, f"{snr:g}", [a[name] for a in accs],
-                                  feats[name].shape[1]))
+                for snr, (accs, fails) in zip(levels, by_level):
+                    msg = next((f[name] for f in fails if name in f), None)
+                    if msg is not None:  # the first failure in job order
+                        failed[name] = msg
+                        break
+                    rows[name].append(row(name, f"{snr:g}",
+                                          [a[name] for a in accs],
+                                          widths[name]))
     return ExperimentReport(rows=[r for name in names for r in rows[name]],
                             failures=[(_label(name), failed[name])
                                       for name in names if name in failed])

@@ -97,6 +97,8 @@ def generate_suite(out_dir, n_classes=DEFAULT_CLASSES,
     if per_class > MAX_PER_CLASS:
         raise ValueError(f"per_class must be <= {MAX_PER_CLASS}, got "
                          f"{per_class}")
+    if not 0 <= seed < 1 << 96:  # the high 96 bits of a 128-bit Philox key
+        raise ValueError(f"seed must be in [0, 2**96), got {seed}")
     os.makedirs(out_dir, exist_ok=True)
     lines = ["# synthetic texture suite"]
     for c in range(n_classes):

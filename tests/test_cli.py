@@ -580,6 +580,23 @@ class TestGenSynthetic:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 96)])
+    def test_seed_out_of_range_is_usage_error(self, tmp_path, capsys, seed):
+        # the seed is the high 96 bits of each image's 128-bit Philox key
+        out = tmp_path / "suite"
+        assert run_cli(["gen-synthetic", "--out-dir", str(out),
+                        "--seed", seed]) == 2
+        assert (f"error: seed must be in [0, 2**96), got {seed}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 96 - 1])
+    def test_seed_range_ends_generate(self, tmp_path, seed):
+        manifest = Path(generate_suite(tmp_path / "suite", n_classes=2,
+                                       per_class=1, size=16, seed=seed))
+        img = load_image(manifest.parent / f"{CLASS_NAMES[1]}_000.pgm")
+        assert img.shape == (16, 16)
+
     def test_every_class_pattern(self, tmp_path):
         manifest = Path(generate_suite(tmp_path / "suite", n_classes=9,
                                        per_class=1, size=24, seed=0))

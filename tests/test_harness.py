@@ -501,20 +501,20 @@ class TestRunExperiment:
         calls = []
         real = harness.evaluate
 
-        def wrong_third(*args):
+        def wrong_third(*args):  # of the clean splits
             acc, confusion = real(*args)
             calls.append(acc)
-            return (-1.0 if len(calls) == 3 else acc), confusion
+            return (-1.0 if len(calls) == 2 + 3 else acc), confusion
 
         monkeypatch.setattr(harness, "evaluate", wrong_third)
         report = run_experiment(small_config(
             small_suite, preprocessors=("none",),
             split=SplitPolicy(n_train=3, repeats=4, seed=9),
             noise=NoiseSpec(snr_levels=(5.0,), repeats=2, seed=3)))
-        assert len(calls) == 4 + 2  # each clean split, then each repeat
+        assert len(calls) == 2 + 4  # each repeat, then each clean split
         clean = report.rows[0]
         assert clean.mean_accuracy == float(np.mean(
-            calls[:2] + [-1.0] + calls[3:4]))
+            calls[2:4] + [-1.0] + calls[5:6]))
 
     def test_gamma_noise_rows_have_finite_accuracies(self, small_suite):
         # unclipped noise makes negative pixels; the sign-preserving gamma
@@ -857,7 +857,7 @@ class TestNoiseSharedByPreprocessors:
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the noise job pool forks its workers")
+    reason="the job pool forks its workers")
 
 
 @needs_fork
@@ -875,7 +875,7 @@ class TestNoiseJobPool:
 
     @staticmethod
     def force_pool(patch):
-        """Send every phase of two or more jobs to a two-worker pool;
+        """Send every run of two or more jobs to a two-worker pool;
         returns one list per pool made, of the job arguments it was
         sent."""
         pools, real = [], concurrent.futures.ProcessPoolExecutor
@@ -898,54 +898,56 @@ class TestNoiseJobPool:
     @staticmethod
     def phases(config, failed=()):
         """What force_pool records for a run of ``config``: the jobs sent
-        to each pool made.  The clean rows run on one pool, two entries at
-        a time: one job per (entry, half of the suite's blocks), then,
-        where the splits read one chi2 triangle, one per (entry that did
-        not fail in the first round, half of its triangle).  The (level,
-        repeat) pairs of the noise rows follow on a pool of their own."""
+        to its one pool, or none for a run of one job.  The entries run
+        two at a time: one job per (entry, half of the suite's blocks),
+        then the group's (level, repeat) noise jobs over its entries that
+        did not fail in the first round and, where the splits read one
+        chi2 triangle, one job per (such an entry, half of its
+        triangle)."""
         manifest = load_manifest(config.manifest_path)
         images = [load_image(p) for p, _ in manifest.samples]
         chunks = harness._chunks(images, config.descriptor.spec, 2)
         triangle = harness._triangle_pays(len(images),
                                           make_splits(manifest, config.split))
-        names, clean = config.preprocessors, []
+        draws = [(li, rep) for li in range(len(config.noise.snr_levels))
+                 for rep in range(config.noise.repeats)] if config.noise else []
+        names, jobs = config.preprocessors, []
         for at in range(0, len(names), 2):
             group = names[at:at + 2]
-            clean += [(name, "rows", k) for name in group
-                      for k in range(len(chunks))]
-            clean += [(name, "triangle", k) for name in group
-                      if triangle and name not in failed for k in range(2)]
-        if len(names) * len(chunks) == 1:
-            clean = []
-        noise = [(li, rep) for li in range(len(config.noise.snr_levels))
-                 for rep in range(config.noise.repeats)] if config.noise else []
-        return [jobs for jobs in (clean, noise) if len(jobs) > 1]
+            live = tuple(name for name in group if name not in failed)
+            jobs += [("rows", name, k) for name in group
+                     for k in range(len(chunks))]
+            jobs += [("noise", live, li, rep) for li, rep in draws if live]
+            jobs += [("triangle", name, k) for name in live if triangle
+                     for k in range(2)]
+        return [jobs] if len(names) * len(chunks) + len(draws) > 1 else []
 
     @staticmethod
     def record_rounds(patch, step=1):
-        """Record (job name, results) of each round of jobs that a phase
-        runs, its jobs run in ``step`` order (-1: last to first); returns
-        the list."""
+        """Record the results of each round of jobs that a run sends to
+        its pool, its jobs run in ``step`` order (-1: last to first);
+        returns the list."""
         real, rounds = harness._job_pool, []
 
         @contextlib.contextmanager
         def job_pool(job, workers):
             with real(job, workers) as run:
                 def recorded(jobs):
-                    rounds.append((job.__name__, run(jobs[::step])[::step]))
-                    return rounds[-1][1]
+                    rounds.append(run(jobs[::step])[::step])
+                    return rounds[-1]
                 yield recorded
 
         patch.setattr(harness, "_job_pool", job_pool)
         return rounds
 
-    def inline_and_pooled(self, monkeypatch, config, **kw):
-        """(report inline, report on the pools) of one run."""
+    def inline_and_pooled(self, monkeypatch, config, failed=(), **kw):
+        """(report inline, report on the pool) of one run, whose entries
+        ``failed`` fail their clean rows."""
         inline = run_experiment(config, **kw)
         with monkeypatch.context() as patch:
             pools = self.force_pool(patch)
             pooled = run_experiment(config, **kw)
-        assert pools == self.phases(config)
+        assert pools == self.phases(config, failed)
         assert multiprocessing.active_children() == []
         return inline, pooled
 
@@ -1015,15 +1017,12 @@ class TestNoiseJobPool:
         assert backward.to_csv() == forward.to_csv()
         assert backward.failures == forward.failures == [
             ("dog", "ValueError: noisy copy refused")]
-        # inline, each entry's clean rows, then the noise jobs; forward
-        # then backward.  A clean job returns its failure and its seconds.
-        phases = [name for name, _ in results]
-        assert phases == ["clean", "clean", "job"] * 2
-        (_, dog), (_, bf), (_, noise), (_, dog_back), (_, bf_back), \
-            (_, noise_back) = results
-        for clean, clean_back in ((dog, dog_back), (bf, bf_back)):
-            assert [msg for msg, _ in clean_back] == \
-                [msg for msg, _ in clean] == [None]
+        # inline, one group: its clean rows, then its noise jobs; forward
+        # then backward.  A job returns its result and its seconds, and a
+        # clean job's result is its failure.
+        clean, noise, clean_back, noise_back = [
+            [result for result, _ in run] for run in results]
+        assert clean_back == clean == [None, None]
         assert noise_back == noise
         # the dog entry runs after its first failure, at level 1 repeat 0
         assert [sorted(accs) for accs, _ in noise] == \
@@ -1099,7 +1098,8 @@ class TestNoiseJobPool:
         manifest, images, splits = self.images_and_splits(small_suite)
         k = splits[0][1][0]
         images[k] = np.full_like(images[k], 0.5)
-        config = small_config(small_suite, noise=self.NOISE)
+        config = small_config(small_suite, noise=self.NOISE,
+                              preprocessors=("bf", "none", "dog"))
         draws = sum(k in splits[rep % len(splits)][1]
                     for rep in range(self.NOISE.repeats)) * 2  # 2 levels
         with warnings.catch_warnings(record=True) as found:
@@ -1108,8 +1108,9 @@ class TestNoiseJobPool:
                 monkeypatch, config, manifest=manifest, images=images)
         assert pooled.to_csv() == inline.to_csv()
         messages = [str(w.message) for w in found]
+        # inline the 3 entries are one group; on 2 CPUs, two groups draw
         assert messages == ["constant image: no noise added (zero signal "
-                            "std)"] * (2 * draws)
+                            "std)"] * (draws + 2 * draws)
 
     def test_programming_error_keeps_worker_traceback(self, small_suite,
                                                       monkeypatch):
@@ -1157,10 +1158,10 @@ class TestNoiseJobPool:
         config = small_config(small_suite, split=self.TRIANGLE,
                               noise=self.NOISE)
         run_experiment(config)
-        # two workers for both rounds of the clean rows, then two for the
-        # noise rows
-        assert len(self.phases(config)) == 2 and len(pools[0]) == 8
-        assert pools == self.phases(config) and counts == [1] * 4
+        # two workers, forked once for every round: the clean rows' 4
+        # chunks, then 4 noise jobs and 4 triangle shares
+        assert len(pools) == 1 and len(pools[0]) == 12
+        assert pools == self.phases(config) and counts == [1] * 2
 
     def test_other_python_thread_runs_inline(self, small_suite, monkeypatch):
         # a worker could inherit that thread's locks held
@@ -1203,10 +1204,11 @@ class TestNoiseJobPool:
         config = small_config(
             small_suite, noise=NoiseSpec(snr_levels=(5.0,), repeats=repeats))
         run_experiment(config)
-        # on 2 CPUs the clean rows of the 2 entries still use a pool
+        # on 2 CPUs the run's one noise job goes to the pool that its
+        # clean rows of 2 entries use
         assert pools == ([] if cpus == 1 else [[
-            ("bf", "rows", 0), ("bf", "rows", 1), ("none", "rows", 0),
-            ("none", "rows", 1)]])
+            ("rows", "bf", 0), ("rows", "bf", 1), ("rows", "none", 0),
+            ("rows", "none", 1), ("noise", ("bf", "none"), 0, 0)]])
 
     def test_daemonic_process_runs_inline(self, small_suite, monkeypatch):
         # a daemonic process may not have children, so it makes no pool
@@ -1223,16 +1225,17 @@ class TestNoiseJobPool:
         assert pools == self.phases(config)  # the call in this process
 
     def test_small_protocol_runs_inline(self, small_suite, monkeypatch):
-        # 12 test images of 48^2 x 2 entries x 4 jobs: under the threshold
+        # 2 entries x (24 clean images + 4 jobs x 12 noisy test images) of
+        # 48^2: under the threshold
         pools = self.force_pool(monkeypatch)
-        monkeypatch.setattr(harness, "_POOL_PIXELS", 12 * 48 * 48 * 2 * 4 + 1)
-        report = run_experiment(small_config(small_suite, noise=self.NOISE))
+        work = 2 * (24 + 4 * 12) * 48 * 48
+        monkeypatch.setattr(harness, "_POOL_PIXELS", work + 1)
+        config = small_config(small_suite, noise=self.NOISE)
+        report = run_experiment(config)
         assert pools == [] and len(report.rows) == 2 * 3
-        monkeypatch.setattr(harness, "_POOL_PIXELS", 12 * 48 * 48 * 2 * 4)
-        assert run_experiment(small_config(
-            small_suite, noise=self.NOISE)).to_csv() == report.to_csv()
-        # the clean rows' 2 entries x 24 images of 48^2 stay inline
-        assert pools == [[(0, 0), (0, 1), (1, 0), (1, 1)]]
+        monkeypatch.setattr(harness, "_POOL_PIXELS", work)
+        assert run_experiment(config).to_csv() == report.to_csv()
+        assert pools == self.phases(config) and len(pools[0]) == 4 + 4
 
     def test_clean_report_equals_inline(self, small_suite, monkeypatch):
         config = small_config(
@@ -1260,7 +1263,8 @@ class TestNoiseJobPool:
                                                   monkeypatch):
         # gamma overflows on a finite training image of 1e200 (one numpy
         # warning, in its clean job), so its row fails naming that image;
-        # a constant test image is drawn once, by the one noise job
+        # a constant test image is drawn by the one noise job of each group:
+        # once inline, and on the pool once for (bf, gamma), once for none
         manifest, images, splits = self.images_and_splits(small_suite)
         k, c = splits[0][0][0], splits[0][1][0]
         images[k] = images[k] * 1e200
@@ -1271,16 +1275,18 @@ class TestNoiseJobPool:
         with warnings.catch_warnings(record=True) as found:
             warnings.simplefilter("always")
             inline, pooled = self.inline_and_pooled(
-                monkeypatch, config, manifest=manifest, images=images)
+                monkeypatch, config, failed=("gamma",), manifest=manifest,
+                images=images)
         assert pooled.to_csv() == inline.to_csv()
         assert pooled.failures == inline.failures == [(
             "gamma", f"NonFiniteImageError: {manifest.samples[k][0]}: "
                      f"image has NaN or infinite pixels")]
         assert [(r.preprocessor, r.snr) for r in inline.rows] == [
             ("bf", "clean"), ("bf", "5"), ("none", "clean"), ("none", "5")]
+        overflow = "overflow encountered in power"
+        constant = "constant image: no noise added (zero signal std)"
         assert [str(w.message) for w in found] == [
-            "overflow encountered in power",
-            "constant image: no noise added (zero signal std)"] * 2
+            overflow, constant, overflow, constant, constant]
 
     def test_clean_programming_error_keeps_worker_traceback(
             self, small_suite, monkeypatch):
@@ -1291,8 +1297,8 @@ class TestNoiseJobPool:
         pools = self.force_pool(monkeypatch)
         with pytest.raises(TypeError, match="broken preprocessor") as info:
             run_experiment(small_config(small_suite))
-        assert pools == [[("bf", "rows", 0), ("bf", "rows", 1),
-                          ("none", "rows", 0), ("none", "rows", 1)]]
+        assert pools == [[("rows", "bf", 0), ("rows", "bf", 1),
+                          ("rows", "none", 0), ("rows", "none", 1)]]
         assert multiprocessing.active_children() == []
         assert "in broken" in str(info.value.__cause__)
 
@@ -1302,15 +1308,16 @@ class TestNoiseJobPool:
         pools = self.force_pool(monkeypatch)
         run_experiment(small_config(small_suite, preprocessors=("bf",),
                                     split=self.TRIANGLE))
-        assert pools == [[("bf", "rows", 0), ("bf", "rows", 1),
-                          ("bf", "triangle", 0), ("bf", "triangle", 1)]]
+        assert pools == [[("rows", "bf", 0), ("rows", "bf", 1),
+                          ("triangle", "bf", 0), ("triangle", "bf", 1)]]
         pools.clear()
         config = small_config(small_suite, preprocessors=("bf",),
                               noise=self.NOISE)
         run_experiment(config)
-        assert pools == self.phases(config) == [
-            [("bf", "rows", 0), ("bf", "rows", 1)],
-            [(0, 0), (0, 1), (1, 0), (1, 1)]]
+        assert pools == self.phases(config) == [[
+            ("rows", "bf", 0), ("rows", "bf", 1), ("noise", ("bf",), 0, 0),
+            ("noise", ("bf",), 0, 1), ("noise", ("bf",), 1, 0),
+            ("noise", ("bf",), 1, 1)]]
 
     @pytest.mark.parametrize("entries", [
         ("bf",), ("bf", "dog", "none", BfParams(0.5, 3.0, 0.05))])
@@ -1350,21 +1357,68 @@ class TestNoiseJobPool:
         assert [r.preprocessor for r in pooled.rows] == [
             "bf", "dog", "none", "gamma", "bf[0.5,3,0.05]"]
 
+    def test_noisy_run_holds_one_group_of_entries(self, small_suite,
+                                                  monkeypatch):
+        # each group's noise jobs run while its features are in the slots:
+        # a noisy run of four entries on two CPUs maps two feature arrays
+        # and two triangles, as a clean one does, and each noise job (see
+        # phases) extracts its own group's two entries only
+        real, made = harness._shared_array, []
+
+        def counted(size):
+            made.append(size)
+            return real(size)
+
+        monkeypatch.setattr(harness, "_shared_array", counted)
+        config = small_config(small_suite, split=self.TRIANGLE,
+                              noise=self.NOISE, preprocessors=(
+                                  "bf", "none", "dog", "gamma"))
+        inline, pooled = self.inline_and_pooled(monkeypatch, config)
+        n, bins = 24, feature_size(config.descriptor, on_maps=True)
+        assert made == [n * bins] * 2 + [n * n] * 2
+        assert pooled.to_csv() == inline.to_csv()
+        assert pooled.failures == inline.failures == []
+        assert len(inline.rows) == 4 * 3
+
+    def test_one_pool_sends_noise_jobs_before_triangle_shares(
+            self, small_suite, monkeypatch):
+        # one pool for the run; each group's second round sends its noise
+        # jobs, over the group's entries only, before its triangle shares
+        pools = self.force_pool(monkeypatch)
+        config = small_config(small_suite, split=self.TRIANGLE,
+                              noise=self.NOISE, preprocessors=(
+                                  "bf", "none", "dog", "gamma"))
+        run_experiment(config)
+        assert multiprocessing.active_children() == []
+
+        def group(*names):
+            return ([("rows", name, k) for name in names for k in (0, 1)]
+                    + [("noise", names, li, rep) for li in (0, 1)
+                       for rep in (0, 1)]
+                    + [("triangle", name, k) for name in names
+                       for k in (0, 1)])
+
+        assert pools == [group("bf", "none") + group("dog", "gamma")]
+        assert pools == self.phases(config)
+
     def test_clean_round_results_hold_no_array(self, small_suite,
                                                monkeypatch):
         # features and triangles stay in shared memory: a clean job sends
-        # back its failure and its seconds, a noise job its accuracies
+        # back its failure and its seconds, a noise job its accuracies and
+        # failures, and its seconds
         rounds = self.record_rounds(monkeypatch)
         pools = self.force_pool(monkeypatch)
         config = small_config(small_suite, split=self.TRIANGLE,
                               noise=self.NOISE)
         run_experiment(config)
         assert pools == self.phases(config)
-        assert [(name, len(results)) for name, results in rounds] == [
-            ("clean", 4), ("clean", 4), ("job", 4)]
-        for _, results in rounds[:2]:
-            for failure, seconds in results:
-                assert failure is None and type(seconds) is float
+        assert [len(results) for results in rounds] == [4, 4 + 4]
+        for failure, seconds in rounds[0] + rounds[1][4:]:
+            assert failure is None and type(seconds) is float
+        for (accs, failures), seconds in rounds[1][:4]:
+            assert sorted(accs) == ["bf", "none"] and failures == {}
+            assert all(type(acc) is float for acc in accs.values())
+            assert type(seconds) is float
 
     def test_entry_failing_in_two_chunks_names_its_first(
             self, small_suite, monkeypatch):
@@ -1386,7 +1440,7 @@ class TestNoiseJobPool:
         assert pools == self.phases(config, failed=config.preprocessors)
         message = lambda k: (f"NonFiniteImageError: {manifest.samples[k][0]}: "
                              f"image has NaN or infinite pixels")
-        assert [msg for msg, _ in results[0][1]] == \
+        assert [msg for msg, _ in results[0]] == \
             [message(5), message(20)] * 2
         assert pooled.rows == inline.rows == one_cpu.rows == []
         assert pooled.failures == inline.failures == one_cpu.failures == [
