@@ -71,6 +71,12 @@ class Manifest:
         paths = [p for p, _ in self.samples]
         if len(set(paths)) != len(paths):
             raise ManifestError("manifest contains duplicate paths")
+        # make_splits would silently drop a sample without a valid flag
+        flags = self.split_flags
+        if flags is not None and (len(flags) != len(paths) or
+                                  not set(flags) <= {"train", "test"}):
+            raise ManifestError(f"split flags must cover every sample, each "
+                                f"'train' or 'test' ({len(paths)} samples)")
 
     def class_indices(self):
         """Sample indices grouped by label, labels in sorted order."""
@@ -106,8 +112,6 @@ def load_manifest(path, suite=None):
                     f"{path}:{lineno}: bad split flag {flag!r}")
             samples.append((os.path.join(base, parts[0]), label))
             flags.append(flag)
-    if any(flags) and None in flags:
-        raise ManifestError(f"{path}: split flags must cover every sample")
     return Manifest(samples=samples,
                     suite=suite or os.path.basename(os.path.dirname(os.path.abspath(path))),
                     split_flags=flags if any(flags) else None)
@@ -130,6 +134,8 @@ class SplitPolicy:
         if self.mode == "predefined" and self.repeats > 1:
             raise ConfigError(f"a predefined split is one split, got "
                               f"repeats={self.repeats}")
+        if not 0 <= self.seed < 1 << 64:  # _rng keeps its low 64 bits
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -154,6 +160,9 @@ class NoiseSpec:
             raise ConfigError(f"repeated snr_levels: {repeated}")
         if self.repeats < 1:
             raise ConfigError("noise repeats must be >= 1")
+        if not 0 <= self.seed < 1 << 64:  # _rng keeps its low 64 bits
+            raise ConfigError(f"noise seed must be in [0, 2**64), got "
+                              f"{self.seed}")
 
 
 def _rng(seed, *stream):
@@ -379,12 +388,10 @@ def _read_suite(manifest):
             np.array([maxval for _, maxval in read], dtype=np.float64))
 
 
-def _extract_features(pixels, maxvals, paths, ids, entries, config,
-                      noise=None, out=None):
-    """(features, failures): the histograms of the images
-    ``pixels[j] / maxvals[j]`` for j in ``ids`` by each entry that did not
-    fail, and the message of each entry that did.  An entry's rows are
-    written into ``out[entry]`` where that is given, else into a new array.
+def _extract_features(pixels, maxvals, paths, ids, rows, config, noise=None):
+    """Write into ``rows[entry]``, for each entry of ``rows``, the
+    histograms of the images ``pixels[j] / maxvals[j]`` for j in ``ids``;
+    return the message of each entry that failed, by entry.
 
     Each block (see _blocks) is made float64 once and read by every entry
     still running; with ``noise`` as (snr, rng), add_gaussian_noise is
@@ -394,9 +401,9 @@ def _extract_features(pixels, maxvals, paths, ids, entries, config,
     this runs, so no file error can arise here.  An image with a NaN or
     infinite pixel is named by its path.
     """
-    feats, failed = dict(out or {}), {}
+    failed = {}
     for lo, hi in _blocks([pixels[j] for j in ids], config.descriptor.spec):
-        live = [entry for entry in entries if entry not in failed]
+        live = [entry for entry in rows if entry not in failed]
         if not live:
             break
         block = np.empty((hi - lo,) + np.shape(pixels[ids[lo]]))
@@ -421,11 +428,8 @@ def _extract_features(pixels, maxvals, paths, ids, entries, config,
                         f"infinite pixels")
                 failed[entry] = f"{type(exc).__name__}: {exc}"
                 continue
-            if entry not in feats:
-                feats[entry] = np.empty((len(ids), hists.shape[1]))
-            feats[entry][lo:hi] = hists
-    return ({entry: f for entry, f in feats.items() if entry not in failed},
-            failed)
+            rows[entry][lo:hi] = hists
+    return failed
 
 
 def _triangle_pays(n, splits):
@@ -566,20 +570,18 @@ def run_experiment(config, manifest=None, images=None):
     is set, and only the corrupted images are extracted again.
 
     The entries run in groups, each entry of a group in its own slot of
-    memory: its (N, bins) features and, where the splits read one chi2
-    triangle on the pool, its (N, N) distances.  A group runs two rounds
-    of jobs (see _job_pool).  The first writes the features, one job per
-    (entry, chunk of the suite's blocks; see _chunks).  The second runs
-    the group's noise jobs, one per (level, repeat), which read the clean
-    training rows from the slots, and after them one job per (entry, k),
-    which writes the k-th share of the entry's triangle (see
+    shared memory: its (N, bins) features and, where the splits read one
+    chi2 triangle on the pool, its (N, N) distances.  A group runs two
+    rounds of jobs (see _job_pool).  The first writes the features, one
+    job per (entry, chunk of the suite's blocks; see _chunks).  The second
+    runs the group's noise jobs, one per (level, repeat), which read the
+    clean training rows from the slots, and after them one job per (entry,
+    k), which writes the k-th share of the entry's triangle (see
     classify._chi2_part).  Then every split is scored and the noise
     results are merged in (level, repeat) order.  On the pool a group has
-    one entry per CPU and the slots are shared memory, so memory grows
-    with the CPUs, not with the entries.  Inline, the suite is one chunk,
-    and the entries form one group when noise rows follow, so that each
-    noise draw is made once, and groups of one when not.  A job reads no
-    other job's result, so the report is the same inline or pooled.
+    one entry per CPU, so memory grows with the CPUs, not with the
+    entries.  A job reads no other job's result, so the report is the
+    same inline or pooled.
 
     An entry that fails on bad input (a ValueError) while its images are
     drawn, preprocessed or described keeps the rows of the levels before
@@ -605,13 +607,11 @@ def run_experiment(config, manifest=None, images=None):
     splits = make_splits(manifest, config.split)
     desc = config.descriptor
 
-    def row(name, snr, accs, fsize, extract_ms=None, match_ms=None):
+    def row(name, snr, accs, *timing):  # in REPORT_COLUMNS order
         std = float(np.std(accs, ddof=1)) if len(accs) > 1 else None
-        return ReportRow(
-            suite=suite, preprocessor=_label(name), family=desc.family,
-            scheme=desc.scheme, p=desc.p, r=desc.r, snr=snr,
-            mean_accuracy=float(np.mean(accs)), std_accuracy=std,
-            feature_size=fsize, extract_ms=extract_ms, match_ms=match_ms)
+        return ReportRow(suite, _label(name), desc.family, desc.scheme,
+                         desc.p, desc.r, snr, float(np.mean(accs)), std,
+                         widths[name], *timing)
 
     names, n = config.preprocessors, len(pixels)
     levels = config.noise.snr_levels if config.noise else ()
@@ -630,54 +630,57 @@ def run_experiment(config, manifest=None, images=None):
         len(names) * len(chunks) + len(draws),
         len(names) * sum(np.size(pixels[j]) for j in itertools.chain(
             range(n), *(corrupted(rep)[1] for _, rep in draws))))
-    if workers:
-        slots, triangle = min(cpus, len(names)), _triangle_pays(n, splits)
-    else:
-        slots, triangle, chunks = len(names) if draws else 1, False, [(0, n)]
+    # Inline, the pool's jobs run one after another, under two rules.  The
+    # entries run one at a time, or as one group when noise rows follow, so
+    # that each draw is made once; and _run_splits makes each triangle on
+    # the chi2 kernel's threads, or a noisy group would hold one N^2
+    # triangle per entry (149 MB each at Outex TC10 size).
+    slots = min(cpus, len(names)) if workers else len(names) if draws else 1
+    triangle = bool(workers) and _triangle_pays(n, splits)
     widths = {name: descriptors.feature_size(desc, on_maps=_yields_pair(name))
               for name in names}
     slot = {name: k % slots for k, name in enumerate(names)}
-    alloc = _shared_array if workers else np.empty
-    feat_slots = [alloc(n * max(widths.values())) for _ in range(slots)]
-    dist_slots = [alloc(n * n) for _ in range(slots if triangle else 0)]
-    rows, failed = {name: [] for name in names}, {}
+    feat_slots = [_shared_array(n * max(widths.values()))
+                  for _ in range(slots)]
+    dist_slots = ([_shared_array(n * n).reshape(n, n) for _ in range(slots)]
+                  if triangle else [None] * slots)
+    rows, failed = [], {}
     extract_s, match_s = dict.fromkeys(names, 0.0), dict.fromkeys(names, 0.0)
 
     def features(name):
         return feat_slots[slot[name]][:n * widths[name]].reshape(n, -1)
 
-    def distances(name):
-        return dist_slots[slot[name]].reshape(n, n)
-
     def job(task, *args):
         """(result, seconds) of one job.  ("rows", name, k) writes chunk k
         of the entry's features into its slot; its result is the entry's
         failure, or None.  ("triangle", name, k) writes the k-th share of
-        its chi2 triangle.  ("noise", live, li, rep) gives the accuracy of
-        each entry of ``live`` at one (level, repeat), with the noisy test
-        images as queries and the noisy or clean training images as
-        references, and the entries that failed in it with their
-        messages."""
+        its chi2 triangle.  ("noise", live, li, rep) gives the accuracy at
+        one (level, repeat) of each entry of ``live`` that did not fail in
+        it, with the noisy test images as queries and the noisy or clean
+        training images as references, and the message of each that did."""
         t0, result = time.perf_counter(), None
         if task == "rows":
             name, k = args
             lo, hi = chunks[k]
             result = _extract_features(
-                pixels, maxvals, paths, range(lo, hi), (name,), config,
-                out={name: features(name)[lo:hi]})[1].get(name)
+                pixels, maxvals, paths, range(lo, hi),
+                {name: features(name)[lo:hi]}, config).get(name)
         elif task == "triangle":
             name, k = args
             hists = ReferenceSet(features(name), labels).histograms
-            classify._chi2_part(hists, hists, distances(name), k, cpus,
-                                symmetric=True)
+            classify._chi2_part(hists, hists, dist_slots[slot[name]], k,
+                                cpus, symmetric=True)
         else:
             live, li, rep = args
             (train, test), ids = corrupted(rep)
-            noisy, job_failed = _extract_features(
-                pixels, maxvals, paths, ids, live, config,
+            noisy = {name: np.empty((len(ids), widths[name])) for name in live}
+            job_failed = _extract_features(
+                pixels, maxvals, paths, ids, noisy, config,
                 (levels[li], _rng(config.noise.seed, li, rep)))
             accs = {}
             for name, hists in noisy.items():
+                if name in job_failed:
+                    continue
                 refs = (hists[len(test):] if config.corrupt_train
                         else features(name)[train])
                 dist = chi2_matrix(hists[:len(test)],
@@ -711,24 +714,21 @@ def run_experiment(config, manifest=None, images=None):
             for name in live:  # the other preprocessors still run
                 t0 = time.perf_counter()
                 accs = _run_splits(features(name), labels, splits,
-                                   distances(name) if triangle else None)
+                                   dist_slots[slot[name]])
                 match_s[name] += time.perf_counter() - t0
                 timing = ()
                 if config.include_timing:  # mean ms per image and per query
                     timing = (extract_s[name] * 1000.0 / n,
                               match_s[name] * 1000.0
                               / sum(len(test) for _, test in splits))
-                rows[name].append(row(name, "clean", accs, widths[name],
-                                      *timing))
+                rows.append(row(name, "clean", accs, *timing))
                 for snr, (accs, fails) in zip(levels, by_level):
                     msg = next((f[name] for f in fails if name in f), None)
                     if msg is not None:  # the first failure in job order
                         failed[name] = msg
                         break
-                    rows[name].append(row(name, f"{snr:g}",
-                                          [a[name] for a in accs],
-                                          widths[name]))
-    return ExperimentReport(rows=[r for name in names for r in rows[name]],
+                    rows.append(row(name, f"{snr:g}", [a[name] for a in accs]))
+    return ExperimentReport(rows=rows,
                             failures=[(_label(name), failed[name])
                                       for name in names if name in failed])
 
@@ -892,8 +892,6 @@ def build_experiment_config(values, base_dir="."):
     try:
         config = ExperimentConfig(**top, **{part: _PART_TYPES[part](**kw)
                                             for part, kw in parts.items()})
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if config.split.mode == "predefined":

@@ -400,6 +400,12 @@ class TestExperimentCommand:
         ("timing = maybe", "invalid value for key 'timing': 'maybe'"),
         ("snr_levels = 5,5", "repeated snr_levels: ['5']"),
         ("snr_levels = 5, 5.0000001", "repeated snr_levels: ['5']"),
+        ("seed = -1", "seed must be in [0, 2**64), got -1"),
+        (f"seed = {2 ** 64}", f"seed must be in [0, 2**64), got {2 ** 64}"),
+        ("snr_levels = 5\nnoise_seed = -1",
+         "noise seed must be in [0, 2**64), got -1"),
+        (f"snr_levels = 5\nnoise_seed = {2 ** 64}",
+         f"noise seed must be in [0, 2**64), got {2 ** 64}"),
     ])
     def test_config_rejected_before_running(self, tmp_path, capsys, setting,
                                             message):

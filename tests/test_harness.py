@@ -95,6 +95,22 @@ class TestManifest:
         with pytest.raises(ManifestError, match="every sample"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("flags", [
+        ["train", "test"], ["train", "test", "test", "test", "train"],
+        ["train", "test", "bogus", "test"], ["train", None, "test", "test"]])
+    def test_flags_must_cover_every_sample_in_code(self, flags):
+        # make_splits would silently drop each sample without a train or
+        # test flag
+        samples = [(f"{i}.pgm", i % 2) for i in range(4)]
+        with pytest.raises(ManifestError, match=re.escape(
+                "split flags must cover every sample, each 'train' or "
+                "'test' (4 samples)")):
+            Manifest(samples=samples, split_flags=flags)
+        flags = ["train", "train", "test", "test"]
+        assert make_splits(Manifest(samples=samples, split_flags=flags),
+                           SplitPolicy(mode="predefined")) == \
+            [([0, 1], [2, 3])]
+
 
 def toy_manifest(sizes=(40, 40)):
     samples = [(f"c{c}_{i}.pgm", c)
@@ -160,6 +176,19 @@ class TestSplits:
                      split_flags=[flag] * 3)
         with pytest.raises(ConfigError, match=f"has no {empty} sample"):
             make_splits(m, SplitPolicy(mode="predefined"))
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_out_of_range_rejected(self, seed):
+        # _rng keeps the low 64 bits, so 2**64 would give seed 0's splits
+        with pytest.raises(ConfigError, match=re.escape(
+                f"seed must be in [0, 2**64), got {seed}")):
+            SplitPolicy(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_seed_range_ends_accepted(self, seed):
+        splits = make_splits(toy_manifest((4, 4)),
+                             SplitPolicy(n_train=2, repeats=2, seed=seed))
+        assert [len(train) for train, _ in splits] == [4, 4]
 
     def test_predefined_split_is_not_repeated(self):
         # it would silently give one split however many were asked for
@@ -232,6 +261,18 @@ class TestNoiseSpec:
     def test_no_level_rejected(self):
         with pytest.raises(ConfigError, match="at least one level"):
             NoiseSpec(snr_levels=())
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_out_of_range_rejected(self, seed):
+        # _rng keeps the low 64 bits, so -1 would draw 2**64 - 1's noise
+        with pytest.raises(ConfigError, match=re.escape(
+                f"noise seed must be in [0, 2**64), got {seed}")):
+            NoiseSpec(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_seed_range_ends_accepted(self, seed):
+        assert NoiseSpec(seed=seed).seed == seed
+        harness._rng(seed, 5, 9).normal()
 
 
 @pytest.fixture(scope="module")
@@ -674,17 +715,16 @@ class TestBlockExtraction:
         assert blocks[:3] == [(0, 3), (3, 6), (6, 7)]
         assert blocks[-1] == (9, 10) and blocks[-2][0] == 7
         for subset in (images, images[4:5]):
-            feats, failed = harness._extract_features(
-                subset, np.ones(len(subset)),
-                [f"img{i}" for i in range(len(subset))],
-                range(len(subset)), (preprocessor,), config)
-            assert failed == {}
-            feats = feats[preprocessor]
             want = np.stack([
                 descriptors.extract(apply_preprocessor(img, preprocessor,
                                                        config),
                                     config.descriptor) for img in subset])
-            assert np.array_equal(feats, want)
+            rows = {preprocessor: np.full_like(want, np.nan)}
+            assert harness._extract_features(
+                subset, np.ones(len(subset)),
+                [f"img{i}" for i in range(len(subset))],
+                range(len(subset)), rows, config) == {}
+            assert np.array_equal(rows[preprocessor], want)
 
     def test_chunks_cut_the_suite_at_its_blocks(self, monkeypatch):
         # a chunk job's blocks are the suite's own, so each image is
@@ -923,16 +963,19 @@ class TestNoiseJobPool:
         return [jobs] if len(names) * len(chunks) + len(draws) > 1 else []
 
     @staticmethod
-    def record_rounds(patch, step=1):
+    def record_rounds(patch, step=1, sent=None):
         """Record the results of each round of jobs that a run sends to
         its pool, its jobs run in ``step`` order (-1: last to first);
-        returns the list."""
+        returns the list.  Each round's jobs are appended to ``sent``
+        where it is given."""
         real, rounds = harness._job_pool, []
 
         @contextlib.contextmanager
         def job_pool(job, workers):
             with real(job, workers) as run:
                 def recorded(jobs):
+                    if sent is not None:
+                        sent.append(jobs)
                     rounds.append(run(jobs[::step])[::step])
                     return rounds[-1]
                 yield recorded
@@ -1007,6 +1050,7 @@ class TestNoiseJobPool:
         # last to first gives each the same result and the same report
         manifest, images, config = self.failing_in_a_later_repeat(
             small_suite, monkeypatch)
+        monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
         with monkeypatch.context() as patch:
             results = self.record_rounds(patch)
             forward = run_experiment(config, manifest=manifest, images=images)
@@ -1017,12 +1061,12 @@ class TestNoiseJobPool:
         assert backward.to_csv() == forward.to_csv()
         assert backward.failures == forward.failures == [
             ("dog", "ValueError: noisy copy refused")]
-        # inline, one group: its clean rows, then its noise jobs; forward
-        # then backward.  A job returns its result and its seconds, and a
-        # clean job's result is its failure.
+        # inline, one group: its clean rows in two chunks an entry, then
+        # its noise jobs; forward then backward.  A job returns its result
+        # and its seconds, and a clean job's result is its failure.
         clean, noise, clean_back, noise_back = [
             [result for result, _ in run] for run in results]
-        assert clean_back == clean == [None, None]
+        assert clean_back == clean == [None] * 4
         assert noise_back == noise
         # the dog entry runs after its first failure, at level 1 repeat 0
         assert [sorted(accs) for accs, _ in noise] == \
@@ -1037,14 +1081,11 @@ class TestNoiseJobPool:
         assert splits[0][1][:4] != splits[1][1][:4]
         real = harness._extract_features
 
-        def failing(pixels, maxvals, paths, ids, entries, config, noise=None,
-                    out=None):
-            feats, failed = real(pixels, maxvals, paths, ids, entries, config,
-                                 noise, out)
-            if noise and noise[0] == 10.0 and "dog" in feats:
-                del feats["dog"]
-                failed["dog"] = f"refused on images {ids[:4]}"
-            return feats, failed
+        def failing(pixels, maxvals, paths, ids, rows, config, noise=None):
+            failed = real(pixels, maxvals, paths, ids, rows, config, noise)
+            if noise and noise[0] == 10.0 and "dog" in rows:
+                failed.setdefault("dog", f"refused on images {ids[:4]}")
+            return failed
 
         monkeypatch.setattr(harness, "_extract_features", failing)
         config = small_config(small_suite, preprocessors=("dog", "bf"),
@@ -1335,22 +1376,31 @@ class TestNoiseJobPool:
         assert pooled.failures == inline.failures == one_cpu.failures == []
         assert len(inline.rows) == len(entries)
 
-    def test_shared_memory_holds_one_group_of_entries(self, small_suite,
-                                                      monkeypatch):
-        # five entries on two CPUs run two at a time, each of a group in
-        # its own slot: a run maps two feature arrays (of the widest entry)
-        # and two triangles, however many entries it has
-        real, made = harness._shared_array, []
+    def pooled_maps(self, monkeypatch, config):
+        """(report inline, report on the pool, the size of each shared
+        array that the pooled run maps)."""
+        inline, real, made = run_experiment(config), harness._shared_array, []
 
         def counted(size):
             made.append(size)
             return real(size)
 
-        monkeypatch.setattr(harness, "_shared_array", counted)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_shared_array", counted)
+            pools = self.force_pool(patch)
+            pooled = run_experiment(config)
+        assert pools == self.phases(config)
+        return inline, pooled, made
+
+    def test_shared_memory_holds_one_group_of_entries(self, small_suite,
+                                                      monkeypatch):
+        # five entries on two CPUs run two at a time, each of a group in
+        # its own slot: a run maps two feature arrays (of the widest entry)
+        # and two triangles, however many entries it has
         entries = ("bf", "dog", "none", "gamma", BfParams(0.5, 3.0, 0.05))
         config = small_config(small_suite, preprocessors=entries,
                               split=self.TRIANGLE)
-        inline, pooled = self.inline_and_pooled(monkeypatch, config)
+        inline, pooled, made = self.pooled_maps(monkeypatch, config)
         n, bins = 24, feature_size(config.descriptor, on_maps=True)
         assert made == [n * bins] * 2 + [n * n] * 2
         assert pooled.to_csv() == inline.to_csv()
@@ -1363,17 +1413,10 @@ class TestNoiseJobPool:
         # a noisy run of four entries on two CPUs maps two feature arrays
         # and two triangles, as a clean one does, and each noise job (see
         # phases) extracts its own group's two entries only
-        real, made = harness._shared_array, []
-
-        def counted(size):
-            made.append(size)
-            return real(size)
-
-        monkeypatch.setattr(harness, "_shared_array", counted)
         config = small_config(small_suite, split=self.TRIANGLE,
                               noise=self.NOISE, preprocessors=(
                                   "bf", "none", "dog", "gamma"))
-        inline, pooled = self.inline_and_pooled(monkeypatch, config)
+        inline, pooled, made = self.pooled_maps(monkeypatch, config)
         n, bins = 24, feature_size(config.descriptor, on_maps=True)
         assert made == [n * bins] * 2 + [n * n] * 2
         assert pooled.to_csv() == inline.to_csv()
@@ -1435,16 +1478,49 @@ class TestNoiseJobPool:
             pools = self.force_pool(patch)
             results = self.record_rounds(patch)
             pooled = run()
+            # below the switch, the same two chunks an entry, inline
+            patch.setattr(harness, "_POOL_PIXELS", math.inf)
+            two_cpus = run()
             patch.setattr(classify, "_cpu_count", lambda: 1)
             one_cpu = run()
         assert pools == self.phases(config, failed=config.preprocessors)
         message = lambda k: (f"NonFiniteImageError: {manifest.samples[k][0]}: "
                              f"image has NaN or infinite pixels")
+        # the pooled run's two rounds, then the inline run's: each entry's
+        # rows round, and an empty second round as no entry is left
+        assert [len(r) for r in results] == [4, 0, 2, 0, 2, 0, 1, 0, 1, 0]
         assert [msg for msg, _ in results[0]] == \
             [message(5), message(20)] * 2
-        assert pooled.rows == inline.rows == one_cpu.rows == []
-        assert pooled.failures == inline.failures == one_cpu.failures == [
-            ("bf", message(5)), ("none", message(5))]
+        assert [msg for msg, _ in results[2] + results[4]] == \
+            [message(5), message(20)] * 2
+        for report in (pooled, two_cpus, one_cpu):
+            assert report.rows == inline.rows == []
+            assert report.failures == inline.failures == [
+                ("bf", message(5)), ("none", message(5))]
+
+    @pytest.mark.parametrize("noise", [None, NOISE])
+    def test_inline_run_sends_the_pooled_rows_jobs(self, small_suite,
+                                                   monkeypatch, noise):
+        # below the switch on two CPUs, the clean rows are the pooled run's
+        # chunk jobs, run one after another, and so is the report
+        config = small_config(small_suite, split=self.TRIANGLE, noise=noise,
+                              preprocessors=("bf", "none", "dog"))
+        inline, pooled = self.inline_and_pooled(monkeypatch, config)
+        sent = []
+        monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
+        self.record_rounds(monkeypatch, sent=sent)
+        assert run_experiment(config).to_csv() == pooled.to_csv() \
+            == inline.to_csv()
+        rows_jobs = lambda rounds: [job for jobs in rounds for job in jobs
+                                    if job[0] == "rows"]
+        assert rows_jobs(sent) == rows_jobs(self.phases(config)) == [
+            ("rows", name, k) for name in config.preprocessors
+            for k in (0, 1)]
+        # one group when noise rows follow, else one entry at a time; no
+        # triangle share runs inline
+        assert len(sent) == (2 if noise else 6)
+        assert not [job for jobs in sent for job in jobs
+                    if job[0] == "triangle"]
 
     @pytest.mark.parametrize("other_thread", [False, True])
     def test_inline_triangle_uses_the_kernel_threads(
