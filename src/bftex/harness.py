@@ -75,8 +75,11 @@ class Manifest:
         flags = self.split_flags
         if flags is not None and (len(flags) != len(paths) or
                                   not set(flags) <= {"train", "test"}):
+            where = next((f"{p} has {f!r}" for p, f in zip(paths, flags)
+                          if f not in ("train", "test")),
+                         f"{len(flags)} flags for {len(paths)} samples")
             raise ManifestError(f"split flags must cover every sample, each "
-                                f"'train' or 'test' ({len(paths)} samples)")
+                                f"'train' or 'test': {where}")
 
     def class_indices(self):
         """Sample indices grouped by label, labels in sorted order."""
@@ -607,11 +610,14 @@ def run_experiment(config, manifest=None, images=None):
     splits = make_splits(manifest, config.split)
     desc = config.descriptor
 
-    def row(name, snr, accs, *timing):  # in REPORT_COLUMNS order
+    def row(name, snr, accs, extract_ms=None, match_ms=None):
         std = float(np.std(accs, ddof=1)) if len(accs) > 1 else None
-        return ReportRow(suite, _label(name), desc.family, desc.scheme,
-                         desc.p, desc.r, snr, float(np.mean(accs)), std,
-                         widths[name], *timing)
+        return ReportRow(
+            suite=suite, preprocessor=_label(name), family=desc.family,
+            scheme=desc.scheme, p=desc.p, r=desc.r, snr=snr,
+            mean_accuracy=float(np.mean(accs)), std_accuracy=std,
+            feature_size=widths[name], extract_ms=extract_ms,
+            match_ms=match_ms)
 
     names, n = config.preprocessors, len(pixels)
     levels = config.noise.snr_levels if config.noise else ()
@@ -892,6 +898,8 @@ def build_experiment_config(values, base_dir="."):
     try:
         config = ExperimentConfig(**top, **{part: _PART_TYPES[part](**kw)
                                             for part, kw in parts.items()})
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if config.split.mode == "predefined":

@@ -92,19 +92,25 @@ class TestManifest:
 
     def test_partial_flags_rejected(self, tmp_path):
         p = write_manifest(tmp_path / "m.txt", ["a.pgm 0 train", "b.pgm 1"])
-        with pytest.raises(ManifestError, match="every sample"):
+        # the message names the first sample without a flag, by its path
+        with pytest.raises(ManifestError, match=re.escape(
+                f"split flags must cover every sample, each 'train' or "
+                f"'test': {tmp_path / 'b.pgm'} has None")):
             load_manifest(p)
 
-    @pytest.mark.parametrize("flags", [
-        ["train", "test"], ["train", "test", "test", "test", "train"],
-        ["train", "test", "bogus", "test"], ["train", None, "test", "test"]])
-    def test_flags_must_cover_every_sample_in_code(self, flags):
+    @pytest.mark.parametrize("flags, where", [
+        (["train", "test"], "2 flags for 4 samples"),
+        (["train", "test", "test", "test", "train"], "5 flags for 4 samples"),
+        (["train", "test", "bogus", "test"], "2.pgm has 'bogus'"),
+        (["train", None, "test", "test"], "1.pgm has None"),
+        ([], "0 flags for 4 samples")])
+    def test_flags_must_cover_every_sample_in_code(self, flags, where):
         # make_splits would silently drop each sample without a train or
         # test flag
         samples = [(f"{i}.pgm", i % 2) for i in range(4)]
         with pytest.raises(ManifestError, match=re.escape(
-                "split flags must cover every sample, each 'train' or "
-                "'test' (4 samples)")):
+                f"split flags must cover every sample, each 'train' or "
+                f"'test': {where}")):
             Manifest(samples=samples, split_flags=flags)
         flags = ["train", "train", "test", "test"]
         assert make_splits(Manifest(samples=samples, split_flags=flags),
@@ -983,12 +989,16 @@ class TestNoiseJobPool:
         patch.setattr(harness, "_job_pool", job_pool)
         return rounds
 
-    def inline_and_pooled(self, monkeypatch, config, failed=(), **kw):
+    def inline_and_pooled(self, monkeypatch, config, failed=(), on_pool=None,
+                          **kw):
         """(report inline, report on the pool) of one run, whose entries
-        ``failed`` fail their clean rows."""
+        ``failed`` fail their clean rows; ``on_pool(patch)``, where given,
+        patches the pooled run only."""
         inline = run_experiment(config, **kw)
         with monkeypatch.context() as patch:
             pools = self.force_pool(patch)
+            if on_pool:
+                on_pool(patch)
             pooled = run_experiment(config, **kw)
         assert pools == self.phases(config, failed)
         assert multiprocessing.active_children() == []
@@ -1376,21 +1386,17 @@ class TestNoiseJobPool:
         assert pooled.failures == inline.failures == one_cpu.failures == []
         assert len(inline.rows) == len(entries)
 
-    def pooled_maps(self, monkeypatch, config):
-        """(report inline, report on the pool, the size of each shared
-        array that the pooled run maps)."""
-        inline, real, made = run_experiment(config), harness._shared_array, []
+    @staticmethod
+    def count_maps(made):
+        """A patch that appends to ``made`` the size of each shared array
+        mapped after it."""
+        real = harness._shared_array
 
         def counted(size):
             made.append(size)
             return real(size)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(harness, "_shared_array", counted)
-            pools = self.force_pool(patch)
-            pooled = run_experiment(config)
-        assert pools == self.phases(config)
-        return inline, pooled, made
+        return lambda patch: patch.setattr(harness, "_shared_array", counted)
 
     def test_shared_memory_holds_one_group_of_entries(self, small_suite,
                                                       monkeypatch):
@@ -1400,7 +1406,9 @@ class TestNoiseJobPool:
         entries = ("bf", "dog", "none", "gamma", BfParams(0.5, 3.0, 0.05))
         config = small_config(small_suite, preprocessors=entries,
                               split=self.TRIANGLE)
-        inline, pooled, made = self.pooled_maps(monkeypatch, config)
+        made = []
+        inline, pooled = self.inline_and_pooled(
+            monkeypatch, config, on_pool=self.count_maps(made))
         n, bins = 24, feature_size(config.descriptor, on_maps=True)
         assert made == [n * bins] * 2 + [n * n] * 2
         assert pooled.to_csv() == inline.to_csv()
@@ -1416,7 +1424,9 @@ class TestNoiseJobPool:
         config = small_config(small_suite, split=self.TRIANGLE,
                               noise=self.NOISE, preprocessors=(
                                   "bf", "none", "dog", "gamma"))
-        inline, pooled, made = self.pooled_maps(monkeypatch, config)
+        made = []
+        inline, pooled = self.inline_and_pooled(
+            monkeypatch, config, on_pool=self.count_maps(made))
         n, bins = 24, feature_size(config.descriptor, on_maps=True)
         assert made == [n * bins] * 2 + [n * n] * 2
         assert pooled.to_csv() == inline.to_csv()
